@@ -1,5 +1,5 @@
 use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
-use comdml_core::RoundEngine;
+use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
 use crate::BaselineConfig;
@@ -27,19 +27,9 @@ impl AllReduceDml {
         self.algorithm = algorithm;
         self
     }
-}
 
-impl RoundEngine for AllReduceDml {
-    fn name(&self) -> &'static str {
-        "AllReduce"
-    }
-
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Barrier time of one round over `participants`.
+    fn price(&self, world: &World, participants: &[AgentId]) -> f64 {
         if participants.is_empty() {
             return 0.0;
         }
@@ -56,46 +46,56 @@ impl RoundEngine for AllReduceDml {
         );
         comdml_core::barrier_round_s(&times, agg)
     }
+}
 
-    // `round_progress_for` inherits the trait default: AllReduce is a
-    // global average over the full barrier cohort — the same learning step
-    // as FedAvg, at full per-round efficiency.
+impl RoundEngine for AllReduceDml {
+    fn name(&self) -> &'static str {
+        "AllReduce"
+    }
+
+    /// AllReduce is a global average over the full barrier cohort — the
+    /// same learning step as FedAvg, at full per-round efficiency.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        let round_s = self.price(plan.world, plan.participants);
+        EngineRound::closed_form(round_s, self.rounds_factor(), plan.participants.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::round_s;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn ring_and_hd_differ_only_in_steps() {
         let world = WorldConfig::heterogeneous(16, 1).build();
-        let mut hd = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut ring = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() })
-            .with_algorithm(AllReduceAlgorithm::Ring);
-        let t_hd = hd.round_time_s(&mut world.clone(), 0);
-        let t_ring = ring.round_time_s(&mut world.clone(), 0);
+        let mut hd = AllReduceDml::new(BaselineConfig::default());
+        let mut ring =
+            AllReduceDml::new(BaselineConfig::default()).with_algorithm(AllReduceAlgorithm::Ring);
+        let t_hd = round_s(&mut hd, &world, 0);
+        let t_ring = round_s(&mut ring, &world, 0);
         // Same bytes, ring has more latency-bound steps.
         assert!(t_ring >= t_hd);
     }
 
     #[test]
     fn progress_reports_the_full_cohort_at_full_efficiency() {
-        let mut engine = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() });
+        let mut engine = AllReduceDml::new(BaselineConfig::default());
         let world = WorldConfig::heterogeneous(8, 4).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let p = engine.round_progress_for(&world, 0, &ids);
-        assert_eq!(p.round_s, engine.round_time_for(&world, 0, &ids));
+        let p = engine.run_round(RoundPlan::new(0, &world, &ids)).progress;
+        assert_eq!(p.round_s, engine.price(&world, &ids));
         assert_eq!((p.efficiency, p.cohort), (1.0, 8));
     }
 
     #[test]
     fn compute_dominates_for_large_models() {
-        let mut engine = AllReduceDml::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(10, 2).build();
+        let mut engine = AllReduceDml::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(10, 2).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let compute = engine.cfg.straggler_compute_s(&world, &ids);
-        let t = engine.round_time_s(&mut world, 0);
+        let t = round_s(&mut engine, &world, 0);
         assert!(t < compute * 1.2, "aggregation should be a small fraction: {t} vs {compute}");
     }
 }

@@ -1,4 +1,4 @@
-use comdml_core::RoundEngine;
+use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,19 +29,10 @@ impl BrainTorrent {
         self.rng = StdRng::seed_from_u64(seed);
         self
     }
-}
 
-impl RoundEngine for BrainTorrent {
-    fn name(&self) -> &'static str {
-        "BrainTorrent"
-    }
-
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Barrier time of one round over `participants`, drawing its
+    /// aggregator.
+    fn price(&mut self, world: &World, participants: &[AgentId]) -> f64 {
         let times = self.cfg.per_agent_times(world, participants);
         if participants.len() < 2 {
             return comdml_core::barrier_round_s(&times, 0.0);
@@ -52,52 +43,58 @@ impl RoundEngine for BrainTorrent {
         let bytes = 2 * (participants.len() as u64 - 1) * b;
         comdml_core::barrier_round_s(&times, self.cfg.calibration.transfer_time_s(bytes, agg_link))
     }
+}
 
-    // `round_progress_for` inherits the trait default: the rotating
-    // aggregator serializes communication but still averages every
-    // participant's fresh update — only the round *time* varies with the
-    // drawn aggregator, never the learning efficiency.
+impl RoundEngine for BrainTorrent {
+    fn name(&self) -> &'static str {
+        "BrainTorrent"
+    }
+
+    /// The rotating aggregator serializes communication but still
+    /// averages every participant's fresh update — only the round *time*
+    /// varies with the drawn aggregator, never the learning efficiency.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        let round_s = self.price(plan.world, plan.participants);
+        EngineRound::closed_form(round_s, self.rounds_factor(), plan.participants.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::round_s;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn aggregation_scales_with_participants() {
         let world_small = WorldConfig::heterogeneous(4, 1).build();
         let world_big = WorldConfig::heterogeneous(32, 1).build();
-        let mk =
-            || BrainTorrent::new(BaselineConfig { churn: None, ..Default::default() }).with_seed(1);
+        let mk = || BrainTorrent::new(BaselineConfig::default()).with_seed(1);
         // Compare aggregation-only by subtracting the straggler compute.
         let mut small_engine = mk();
-        let mut w = world_small.clone();
+        let w = &world_small;
         let ids: Vec<_> = w.agents().iter().map(|a| a.id).collect();
         let agg_small =
-            small_engine.round_time_s(&mut w, 0) - small_engine.cfg.straggler_compute_s(&w, &ids);
+            round_s(&mut small_engine, w, 0) - small_engine.cfg.straggler_compute_s(w, &ids);
         let mut big_engine = mk();
-        let mut w = world_big.clone();
+        let w = &world_big;
         let ids: Vec<_> = w.agents().iter().map(|a| a.id).collect();
-        let agg_big =
-            big_engine.round_time_s(&mut w, 0) - big_engine.cfg.straggler_compute_s(&w, &ids);
+        let agg_big = round_s(&mut big_engine, w, 0) - big_engine.cfg.straggler_compute_s(w, &ids);
         assert!(agg_big > agg_small, "{agg_big} vs {agg_small}");
     }
 
     #[test]
     fn progress_varies_in_time_but_not_in_efficiency() {
-        let mut engine =
-            BrainTorrent::new(BaselineConfig { churn: None, ..Default::default() }).with_seed(7);
+        let mut engine = BrainTorrent::new(BaselineConfig::default()).with_seed(7);
         let world = WorldConfig::heterogeneous(12, 5).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let times: Vec<f64> = (0..8).map(|r| engine.round_progress_for(&world, r, &ids)).fold(
-            Vec::new(),
-            |mut acc, p| {
+        let times: Vec<f64> = (0..8)
+            .map(|r| engine.run_round(RoundPlan::new(r, &world, &ids)).progress)
+            .fold(Vec::new(), |mut acc, p| {
                 assert_eq!((p.efficiency, p.cohort), (1.0, 12));
                 acc.push(p.round_s);
                 acc
-            },
-        );
+            });
         assert!(
             times.iter().any(|&t| (t - times[0]).abs() > 1e-9),
             "the rotating aggregator should vary round times"
@@ -106,9 +103,9 @@ mod tests {
 
     #[test]
     fn single_agent_has_no_aggregation() {
-        let mut engine = BrainTorrent::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(1, 1).build();
-        let t = engine.round_time_s(&mut world, 0);
+        let mut engine = BrainTorrent::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(1, 1).build();
+        let t = round_s(&mut engine, &world, 0);
         let solo = engine.cfg.solo_time_s(&world.agents()[0]);
         assert!((t - solo).abs() < 1e-9);
     }

@@ -1,4 +1,4 @@
-use comdml_core::RoundEngine;
+use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
 use crate::BaselineConfig;
@@ -20,22 +20,9 @@ impl FedAvg {
     pub fn new(cfg: BaselineConfig) -> Self {
         Self { cfg }
     }
-}
 
-impl RoundEngine for FedAvg {
-    fn name(&self) -> &'static str {
-        "FedAvg"
-    }
-
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    /// Round time for an externally chosen participant set — used by the
-    /// elastic-fleet and sweep harnesses to drive FedAvg under the *same*
-    /// membership process as ComDML (apples-to-apples churn comparison).
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Barrier time of one round over `participants`.
+    fn price(&self, world: &World, participants: &[AgentId]) -> f64 {
         if participants.is_empty() {
             return 0.0;
         }
@@ -49,51 +36,60 @@ impl RoundEngine for FedAvg {
         let server_comm = self.cfg.calibration.transfer_time_s(server_bytes, self.cfg.server_mbps);
         comdml_core::barrier_round_s(&times, client_comm.max(server_comm))
     }
+}
 
-    // `round_progress_for` inherits the trait default: the barrier waits
-    // for everyone, so every participant's update reaches the server fresh
-    // — a full-efficiency round over the whole cohort.
+impl RoundEngine for FedAvg {
+    fn name(&self) -> &'static str {
+        "FedAvg"
+    }
+
+    /// The barrier waits for everyone, so every participant's update
+    /// reaches the server fresh — a full-efficiency round over the whole
+    /// cohort.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        let round_s = self.price(plan.world, plan.participants);
+        EngineRound::closed_form(round_s, self.rounds_factor(), plan.participants.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::round_s;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn round_time_exceeds_straggler_compute() {
-        let mut engine = FedAvg::new(BaselineConfig { churn: None, ..Default::default() });
-        let mut world = WorldConfig::heterogeneous(10, 1).build();
+        let mut engine = FedAvg::new(BaselineConfig::default());
+        let world = WorldConfig::heterogeneous(10, 1).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let compute = engine.cfg.straggler_compute_s(&world, &ids);
-        let t = engine.round_time_s(&mut world, 0);
+        let t = round_s(&mut engine, &world, 0);
         assert!(t > compute);
     }
 
     #[test]
     fn progress_pairs_barrier_time_with_full_efficiency() {
-        let mut engine = FedAvg::new(BaselineConfig { churn: None, ..Default::default() });
+        let mut engine = FedAvg::new(BaselineConfig::default());
         let world = WorldConfig::heterogeneous(10, 3).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
-        let p = engine.round_progress_for(&world, 0, &ids);
-        assert_eq!(p.round_s, engine.round_time_for(&world, 0, &ids));
+        let p = engine.run_round(RoundPlan::new(0, &world, &ids)).progress;
+        assert_eq!(p.round_s, engine.price(&world, &ids));
         assert_eq!(p.efficiency, 1.0, "everyone aggregates fresh");
         assert_eq!(p.cohort, 10);
-        assert_eq!(engine.round_progress_for(&world, 0, &[]).efficiency, 0.0, "idle when empty");
+        let idle = engine.run_round(RoundPlan::new(0, &world, &[])).progress;
+        assert_eq!(idle.efficiency, 0.0, "idle when empty");
     }
 
     #[test]
     fn slower_server_increases_round_time() {
-        let mut fast_server = FedAvg::new(BaselineConfig {
-            churn: None,
-            server_mbps: 10_000.0,
-            ..Default::default()
-        });
+        let mut fast_server =
+            FedAvg::new(BaselineConfig { server_mbps: 10_000.0, ..Default::default() });
         let mut slow_server =
-            FedAvg::new(BaselineConfig { churn: None, server_mbps: 10.0, ..Default::default() });
+            FedAvg::new(BaselineConfig { server_mbps: 10.0, ..Default::default() });
         let world = WorldConfig::heterogeneous(10, 2).build();
-        let t_fast = fast_server.round_time_s(&mut world.clone(), 0);
-        let t_slow = slow_server.round_time_s(&mut world.clone(), 0);
+        let t_fast = round_s(&mut fast_server, &world, 0);
+        let t_slow = round_s(&mut slow_server, &world, 0);
         assert!(t_slow > t_fast, "{t_slow} vs {t_fast}");
     }
 }

@@ -1,4 +1,4 @@
-use comdml_core::RoundEngine;
+use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
 use crate::BaselineConfig;
@@ -28,26 +28,9 @@ impl FedProx {
         assert!(min_work > 0.0 && min_work <= 1.0, "min work must be in (0, 1], got {min_work}");
         Self { cfg, min_work }
     }
-}
 
-impl RoundEngine for FedProx {
-    fn name(&self) -> &'static str {
-        "FedProx"
-    }
-
-    fn rounds_factor(&self) -> f64 {
-        // Partial local work converges slower: the more a straggler's
-        // epoch is truncated (small `min_work`), the more rounds the global
-        // model needs. Linear interpolation to 1.0 at full work.
-        0.6 + 0.4 * self.min_work
-    }
-
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Barrier time of one round over `participants`.
+    fn price(&self, world: &World, participants: &[AgentId]) -> f64 {
         if participants.is_empty() {
             return 0.0;
         }
@@ -70,38 +53,55 @@ impl RoundEngine for FedProx {
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
         comdml_core::barrier_round_s(&times, comm)
     }
+}
 
-    // `round_progress_for` inherits the trait default: every participant
-    // contributes, but stragglers contribute *truncated* epochs — the
-    // round's efficiency is the γ-inexactness discount, a constant of the
-    // `min_work` floor.
+impl RoundEngine for FedProx {
+    fn name(&self) -> &'static str {
+        "FedProx"
+    }
+
+    fn rounds_factor(&self) -> f64 {
+        // Partial local work converges slower: the more a straggler's
+        // epoch is truncated (small `min_work`), the more rounds the global
+        // model needs. Linear interpolation to 1.0 at full work.
+        0.6 + 0.4 * self.min_work
+    }
+
+    /// Every participant contributes, but stragglers contribute
+    /// *truncated* epochs — the round's efficiency is the γ-inexactness
+    /// discount, a constant of the `min_work` floor.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        let round_s = self.price(plan.world, plan.participants);
+        EngineRound::closed_form(round_s, self.rounds_factor(), plan.participants.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::round_s;
     use crate::FedAvg;
     use comdml_simnet::WorldConfig;
 
     #[test]
     fn caps_straggler_rounds_below_fedavg() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
+        let base = BaselineConfig::default();
         let world = WorldConfig::heterogeneous(10, 1).build();
         let mut fedavg = FedAvg::new(base.clone());
         let mut fedprox = FedProx::new(base, 0.5);
-        let t_avg = fedavg.round_time_s(&mut world.clone(), 0);
-        let t_prox = fedprox.round_time_s(&mut world.clone(), 0);
+        let t_avg = round_s(&mut fedavg, &world, 0);
+        let t_prox = round_s(&mut fedprox, &world, 0);
         assert!(t_prox < t_avg, "{t_prox} vs {t_avg}");
     }
 
     #[test]
     fn min_work_one_degenerates_to_fedavg_compute() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
+        let base = BaselineConfig::default();
         let world = WorldConfig::heterogeneous(10, 2).build();
         let mut full = FedProx::new(base.clone(), 1.0);
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let straggler = base.straggler_compute_s(&world, &ids);
-        let t = full.round_time_s(&mut world.clone(), 0);
+        let t = round_s(&mut full, &world, 0);
         assert!(t >= straggler, "min_work = 1 keeps full epochs: {t} vs {straggler}");
     }
 
@@ -112,11 +112,11 @@ mod tests {
 
     #[test]
     fn progress_carries_the_inexactness_discount() {
-        let base = BaselineConfig { churn: None, ..BaselineConfig::default() };
+        let base = BaselineConfig::default();
         let world = WorldConfig::heterogeneous(10, 6).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let mut engine = FedProx::new(base, 0.4);
-        let p = engine.round_progress_for(&world, 0, &ids);
+        let p = engine.run_round(RoundPlan::new(0, &world, &ids)).progress;
         assert!((p.efficiency - (0.6 + 0.4 * 0.4)).abs() < 1e-12);
         assert_eq!(p.cohort, 10, "everyone's partial update aggregates");
     }

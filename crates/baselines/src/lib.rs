@@ -15,21 +15,22 @@
 //!
 //! None of these balance workload: a 0.2-CPU straggler trains the entire
 //! model every round, which is precisely the bottleneck ComDML removes.
-//! All engines implement [`comdml_core::RoundEngine`], so the experiment
-//! harness drives them interchangeably.
+//! All engines implement [`comdml_core::RoundEngine`], so
+//! [`comdml_core::FleetSim`] drives them — and ComDML — by the same
+//! membership, churn and sampling rules.
 //!
 //! # Example
 //!
 //! ```
-//! use comdml_baselines::{AllReduceDml, BaselineConfig, FedAvg};
-//! use comdml_core::{time_to_accuracy, LearningCurve};
-//! use comdml_simnet::WorldConfig;
+//! use comdml_baselines::{BaselineConfig, FedAvg};
+//! use comdml_core::{ComDmlConfig, FleetSim};
+//! use comdml_simnet::FleetConfig;
 //!
-//! let world = WorldConfig::heterogeneous(10, 1).build();
-//! let curve = LearningCurve::cifar10(true);
-//! let mut fedavg = FedAvg::new(BaselineConfig::default());
-//! let t = time_to_accuracy(&mut fedavg, &world, &curve, 0.80);
-//! assert!(t.total_time_s > 0.0);
+//! let fedavg = FedAvg::new(BaselineConfig::default());
+//! let fleet = FleetConfig::new(10, 1).build();
+//! let mut sim = FleetSim::with_engine(fleet, ComDmlConfig::default(), fedavg);
+//! let report = sim.run(3);
+//! assert!(report.total_sim_s > 0.0);
 //! ```
 //!
 //! Part of the `comdml-rs` workspace — the crate map in the repository

@@ -1,4 +1,4 @@
-use comdml_core::RoundEngine;
+use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_cost::SplitProfile;
 use comdml_simnet::{AgentId, World};
 
@@ -47,19 +47,9 @@ impl ClassicSplitLearning {
         let e = self.profile.entry(offload).expect("valid split");
         2 * e.nu_bytes_per_batch
     }
-}
 
-impl RoundEngine for ClassicSplitLearning {
-    fn name(&self) -> &'static str {
-        "Split Learning"
-    }
-
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        let participants = self.cfg.participants(world, round);
-        self.round_time_for(world, round, &participants)
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
+    /// Barrier time of one round over `participants`.
+    fn price(&self, world: &World, participants: &[AgentId]) -> f64 {
         let offload = self.cfg.model.num_weighted_layers() - self.agent_layers;
         let e = self.profile.entry(offload).expect("valid split");
         // Per batch, the agent computes its prefix, ships the activation,
@@ -91,20 +81,31 @@ impl RoundEngine for ClassicSplitLearning {
             .collect();
         comdml_core::barrier_round_s(&times, 0.0)
     }
+}
 
-    // `round_progress_for` inherits the trait default: per-batch server
-    // round trips are slow but lossless — the global model still sees
-    // every participant's full epoch, a full-efficiency round.
+impl RoundEngine for ClassicSplitLearning {
+    fn name(&self) -> &'static str {
+        "Split Learning"
+    }
+
+    /// Per-batch server round trips are slow but lossless — the global
+    /// model still sees every participant's full epoch, a full-efficiency
+    /// round.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        let round_s = self.price(plan.world, plan.participants);
+        EngineRound::closed_form(round_s, self.rounds_factor(), plan.participants.len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::round_s;
     use crate::FedAvg;
     use comdml_simnet::WorldConfig;
 
     fn base() -> BaselineConfig {
-        BaselineConfig { churn: None, ..BaselineConfig::default() }
+        BaselineConfig::default()
     }
 
     #[test]
@@ -122,8 +123,8 @@ mod tests {
         let world = WorldConfig::heterogeneous(10, 1).build();
         let mut sl = ClassicSplitLearning::new(base(), 19, 8.0);
         let mut fedavg = FedAvg::new(base());
-        let t_sl = sl.round_time_s(&mut world.clone(), 0);
-        let t_avg = fedavg.round_time_s(&mut world.clone(), 0);
+        let t_sl = round_s(&mut sl, &world, 0);
+        let t_avg = round_s(&mut fedavg, &world, 0);
         assert!(
             t_sl > 0.5 * t_avg,
             "SL should not magically beat local training: {t_sl} vs {t_avg}"
@@ -135,8 +136,8 @@ mod tests {
         let world = WorldConfig::heterogeneous(6, 2).build();
         let ids: Vec<_> = world.agents().iter().map(|a| a.id).collect();
         let mut engine = ClassicSplitLearning::new(base(), 19, 8.0);
-        let p = engine.round_progress_for(&world, 0, &ids);
-        assert_eq!(p.round_s, engine.round_time_for(&world, 0, &ids));
+        let p = engine.run_round(RoundPlan::new(0, &world, &ids)).progress;
+        assert_eq!(p.round_s, engine.price(&world, &ids));
         assert_eq!((p.efficiency, p.cohort), (1.0, 6));
     }
 

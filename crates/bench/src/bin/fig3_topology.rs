@@ -5,9 +5,9 @@
 
 use comdml_baselines::BaselineConfig;
 use comdml_bench::{all_methods, fmt_s, world_for_dataset};
-use comdml_core::{time_to_accuracy, ComDmlConfig, LearningCurve};
+use comdml_core::{ComDmlConfig, LearningCurve, RoundPlan};
 use comdml_data::DatasetSpec;
-use comdml_simnet::Topology;
+use comdml_simnet::{AgentId, Topology};
 
 fn main() {
     let k = 50;
@@ -20,6 +20,7 @@ fn main() {
     println!("Fig. 3 — training time (s) under 20% link connectivity, 50 agents, IID\n");
     for (spec, target) in cells {
         let world = world_for_dataset(&spec, true, k, 42, Topology::random(0.2));
+        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
         let curve = LearningCurve::for_dataset(&spec.name, true);
         println!("{} (target {:.0}%):", spec.name, target * 100.0);
         let mut engines = all_methods(
@@ -34,8 +35,13 @@ fn main() {
         );
         let mut results = Vec::new();
         for mut engine in engines {
-            let t = time_to_accuracy(engine.as_mut(), &world, &curve, target);
-            results.push((t.method.clone(), t.total_time_s));
+            // Every agent trains every round; the curve sets the round
+            // count at the method's mixing efficiency.
+            let rounds = curve.rounds_to(target, engine.rounds_factor());
+            let total: f64 = (0..rounds)
+                .map(|r| engine.run_round(RoundPlan::new(r, &world, &ids)).progress.round_s)
+                .sum();
+            results.push((engine.name().to_string(), total));
         }
         let max = results.iter().map(|(_, v)| *v).fold(0.0, f64::max);
         for (name, v) in &results {

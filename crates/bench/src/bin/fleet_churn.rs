@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use comdml_baselines::{BaselineConfig, FedAvg};
 use comdml_bench::{BenchEntry, BenchRecord};
-use comdml_core::{AggregationMode, ComDmlConfig, EventGranularity, FleetSim, RoundEngine};
+use comdml_core::{AggregationMode, ComDmlConfig, EventGranularity, FleetSim};
 use comdml_simnet::{ArrivalProcess, FleetConfig, SessionLifetime};
 
 const AGENTS: usize = 10_000;
@@ -133,28 +133,22 @@ fn main() {
     // `max_agents` and silently dropping arrivals (FedAvg rounds are far
     // longer than ComDML's, so its world sees many more sessions).
     {
-        let mut fa = FedAvg::new(BaselineConfig { churn: None, ..BaselineConfig::default() });
-        let mut driver = fleet(AGENTS).recycle_slots(true).build();
+        let fedavg = FedAvg::new(BaselineConfig::default());
+        let driver = fleet(AGENTS).recycle_slots(true).build();
+        let mut sim = FleetSim::with_engine(driver, config(AggregationMode::Synchronous), fedavg);
         let rounds = ROUNDS / 4;
         let start = Instant::now();
-        let mut sim_total = 0.0f64;
-        let mut horizon = 30.0;
-        for r in 0..rounds {
-            let plan = driver.begin_round(horizon);
-            let t = fa.round_time_for(driver.world(), r, &plan.participants);
-            driver.end_round(t);
-            sim_total += t;
-            horizon = (t * 2.0).max(1.0);
-        }
+        let report = sim.run(rounds);
         let wall = start.elapsed();
+        let driver = sim.fleet();
         println!(
             "{:<16} {rounds:>4} rounds: sim {:>9.1}s, peak {} agents, +{}/-{} churn, \
              {} slots recycled, {} arrivals dropped, wall {:.2}s",
             "fedavg_barrier",
-            sim_total,
-            driver.peak_active(),
-            driver.arrivals_total(),
-            driver.departures_total(),
+            report.total_sim_s,
+            report.peak_agents,
+            report.arrivals,
+            report.departures,
             driver.slots_recycled(),
             driver.arrivals_dropped(),
             wall.as_secs_f64()
@@ -163,8 +157,8 @@ fn main() {
             mode: "fedavg_barrier".into(),
             wall_ms: wall.as_secs_f64() * 1e3,
             events_processed: 0,
-            peak_agents: driver.peak_active(),
-            sim_total_s: sim_total,
+            peak_agents: report.peak_agents,
+            sim_total_s: report.total_sim_s,
             rounds,
             phases: Vec::new(),
         });

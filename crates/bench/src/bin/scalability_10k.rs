@@ -17,11 +17,12 @@
 //! cargo run --release --bin scalability_10k
 //! ```
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use comdml_bench::{BenchEntry, BenchRecord, Report};
-use comdml_core::{AggregationMode, ComDml, ComDmlConfig};
-use comdml_simnet::WorldConfig;
+use comdml_core::{AggregationMode, ComDml, ComDmlConfig, RoundEngine, RoundPlan};
+use comdml_simnet::{AgentId, WorldConfig};
 
 const AGENTS: usize = 10_000;
 const ROUNDS: usize = 100;
@@ -34,6 +35,7 @@ fn main() {
     // agent) without the dataset itself dominating setup time.
     let world =
         WorldConfig::heterogeneous(AGENTS, 42).total_samples(500 * AGENTS).batch_size(100).build();
+    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
     println!(
         "world: {} agents, mean {:.2} CPUs, density {:.2}\n",
         AGENTS,
@@ -61,17 +63,21 @@ fn main() {
             candidate_offloads: Some(vec![8, 16, 24, 32, 40, 48]),
             ..ComDmlConfig::default()
         });
-        let mut w = world.clone();
         comdml_obs::metrics().reset();
         let start = Instant::now();
         let mut sim_total = 0.0;
         let mut offloads = 0usize;
         let mut events = 0u64;
+        // Stragglers' unfinished work carries into the next round.
+        let mut carry = HashMap::new();
         for r in 0..ROUNDS {
-            let outcome = engine.run_round(&mut w, r);
+            let round =
+                engine.run_round(RoundPlan { ready_at: carry, ..RoundPlan::new(r, &world, &ids) });
+            carry = round.carry;
+            events += round.events_processed;
+            let outcome = &engine.last_report().expect("round just ran").outcome;
             sim_total += outcome.round_s();
             offloads += outcome.num_offloads;
-            events += engine.last_report().map_or(0, |rep| rep.events_processed);
         }
         let wall = start.elapsed().as_secs_f64();
         let phases = comdml_obs::metrics().snapshot().phase_totals();

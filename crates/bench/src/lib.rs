@@ -16,20 +16,7 @@ use comdml_core::{ComDml, ComDmlConfig, LearningCurve, RoundEngine};
 use comdml_data::{DatasetSpec, DirichletPartitioner};
 use comdml_simnet::{Topology, World, WorldConfig};
 
-/// The six dataset × distribution cells of Table II with their target
-/// accuracies.
-pub fn table2_cells() -> Vec<(DatasetSpec, bool, f64)> {
-    vec![
-        (DatasetSpec::cifar10(), true, 0.90),
-        (DatasetSpec::cifar10(), false, 0.85),
-        (DatasetSpec::cifar100(), true, 0.65),
-        (DatasetSpec::cifar100(), false, 0.60),
-        (DatasetSpec::cinic10(), true, 0.75),
-        (DatasetSpec::cinic10(), false, 0.65),
-    ]
-}
-
-/// Builds the world for one Table II cell: `k` heterogeneous agents sharing
+/// Builds the world for one dataset cell: `k` heterogeneous agents sharing
 /// the dataset's training set; non-I.I.D. cells get Dirichlet(0.5) sizes
 /// (label skew also skews per-agent sample counts).
 pub fn world_for_dataset(
@@ -55,7 +42,8 @@ pub fn world_for_dataset(
     world
 }
 
-/// All five methods of Table II, boxed behind the shared engine trait.
+/// The five methods of the paper's Table II, boxed behind the shared
+/// engine trait.
 pub fn all_methods(base: BaselineConfig, comdml: ComDmlConfig) -> Vec<Box<dyn RoundEngine>> {
     vec![
         Box::new(ComDml::new(comdml)),
@@ -64,13 +52,6 @@ pub fn all_methods(base: BaselineConfig, comdml: ComDmlConfig) -> Vec<Box<dyn Ro
         Box::new(AllReduceDml::new(base.clone())),
         Box::new(FedAvg::new(base)),
     ]
-}
-
-/// Drives an engine for `rounds` rounds on a clone of `world`, returning
-/// total simulated seconds.
-pub fn run_rounds(engine: &mut dyn RoundEngine, world: &World, rounds: usize) -> f64 {
-    let mut world = world.clone();
-    (0..rounds).map(|r| engine.round_time_s(&mut world, r)).sum()
 }
 
 /// Rounds-to-target with the participation-sampling penalty: when only a
@@ -111,14 +92,6 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_has_six_cells_with_paper_targets() {
-        let cells = table2_cells();
-        assert_eq!(cells.len(), 6);
-        assert_eq!(cells[0].2, 0.90);
-        assert_eq!(cells[3].2, 0.60);
-    }
 
     #[test]
     fn non_iid_world_has_uneven_sizes() {

@@ -2,12 +2,15 @@ use std::collections::HashMap;
 
 use comdml_collective::AllReduceAlgorithm;
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml_simnet::{AgentId, ByzantineConfig, DiurnalCycle, PartitionSchedule, World};
+use comdml_simnet::{
+    AgentId, ByzantineConfig, DiurnalCycle, MembershipChange, MembershipEvent, PartitionSchedule,
+    World,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AggregationMode, EventGranularity, EventRound, EventRoundReport, LearningCurve, LearningModel,
-    PairingScheduler, RoundOutcome, RoundProgress, TrainingTimeEstimator,
+    AggregationMode, Disruption, EventGranularity, EventRound, EventRoundReport, LearningCurve,
+    PairingScheduler, RoundProgress, TrainingTimeEstimator,
 };
 
 /// Dynamic-environment policy: re-roll a fraction of agent profiles every
@@ -36,9 +39,11 @@ pub struct ComDmlConfig {
     pub calibration: CostCalibration,
     /// AllReduce algorithm for aggregation (§IV-B picks halving/doubling).
     pub algorithm: AllReduceAlgorithm,
-    /// Fraction of agents participating each round (Table III uses 0.2).
+    /// Fraction of active members sampled into each round (Table III uses
+    /// 0.2). Applied by the fleet harness ([`crate::FleetSim`]).
     pub sampling_rate: f64,
-    /// Profile churn policy (`None` = static environment).
+    /// Profile churn policy (`None` = static environment). Applied by the
+    /// fleet harness between rounds.
     pub churn: Option<ChurnPolicy>,
     /// Candidate offloads to profile (`None` = every layer boundary).
     pub candidate_offloads: Option<Vec<usize>>,
@@ -66,8 +71,8 @@ pub struct ComDmlConfig {
     /// for any value; 1 (the default) prepares inline.
     pub threads: usize,
     /// Diurnal time-varying bandwidth (`None` = stationary links). Applied
-    /// by the clock-owning harness ([`crate::FleetSim`] and the sweep
-    /// runner) as a link scale on the world at each round start.
+    /// by the clock-owning fleet harness ([`crate::FleetSim`]) as a link
+    /// scale on the world at each round start.
     pub diurnal: Option<DiurnalCycle>,
     /// Rotating correlated regional outages (`None` = never partitioned).
     /// Applied by the clock-owning harness like [`ComDmlConfig::diurnal`].
@@ -100,9 +105,68 @@ impl Default for ComDmlConfig {
     }
 }
 
-/// A method that can simulate the wall-clock cost of one training round —
-/// the interface shared by ComDML and all baselines so the experiment
-/// harness treats them uniformly.
+/// One round as the fleet harness hands it to an engine: the world shaped
+/// for the round, the sampled participants, and the membership changes
+/// forecast inside the planning horizon.
+#[derive(Debug, Clone)]
+pub struct RoundPlan<'a> {
+    /// Zero-based round index.
+    pub round: usize,
+    /// The world at the round start (hostile shaping and profile churn
+    /// already applied).
+    pub world: &'a World,
+    /// Agents that train and aggregate this round, ascending by id.
+    pub participants: &'a [AgentId],
+    /// Arrivals and departures forecast inside the planning horizon,
+    /// round-relative and ascending by time. Departures may name agents
+    /// outside `participants`.
+    pub events: &'a [MembershipEvent],
+    /// Head starts carried over from earlier rounds, keyed by participant.
+    pub ready_at: HashMap<AgentId, f64>,
+}
+
+impl<'a> RoundPlan<'a> {
+    /// A round over a fixed participant set: no membership events and no
+    /// head starts.
+    pub fn new(round: usize, world: &'a World, participants: &'a [AgentId]) -> Self {
+        Self { round, world, participants, events: &[], ready_at: HashMap::new() }
+    }
+}
+
+/// What an engine reports for one round.
+#[derive(Debug, Clone)]
+pub struct EngineRound {
+    /// The round's duration and learning-progress inputs. `disruptions`
+    /// counts the departures the engine itself saw; the fleet harness
+    /// replaces it with the departures committed inside the round.
+    pub progress: RoundProgress,
+    /// Simulation events the engine executed (0 for closed-form engines).
+    pub events_processed: u64,
+    /// Helper re-pairings after mid-round departures.
+    pub repairs: usize,
+    /// Unfinished work per agent, in seconds, to carry into the next
+    /// round as a head start (empty under a barrier).
+    pub carry: HashMap<AgentId, f64>,
+}
+
+impl EngineRound {
+    /// A closed-form round: every participant's update aggregated at
+    /// `efficiency`, no events, no carry-over. A round nobody entered
+    /// learns nothing.
+    pub fn closed_form(round_s: f64, efficiency: f64, participants: usize) -> Self {
+        let progress = if participants == 0 {
+            RoundProgress::idle(round_s)
+        } else {
+            RoundProgress::fresh(round_s, efficiency, participants)
+        };
+        Self { progress, events_processed: 0, repairs: 0, carry: HashMap::new() }
+    }
+}
+
+/// A training method simulated round by round — the interface shared by
+/// ComDML and every baseline. [`crate::FleetSim`] owns membership, profile
+/// churn, participation sampling and the clock; an engine only prices and
+/// simulates the round it is handed.
 pub trait RoundEngine {
     /// Method name as it appears in the paper's tables.
     fn name(&self) -> &'static str;
@@ -113,98 +177,22 @@ pub trait RoundEngine {
         1.0
     }
 
-    /// Simulated seconds consumed by round `round` (mutating `world` for
-    /// churn/sampling effects).
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64;
-
-    /// Simulated seconds for round `round` over an *externally chosen*
-    /// participant set: the uniform entry point the elastic-fleet and sweep
-    /// harnesses drive every method through. The harness owns membership,
-    /// profile churn and participation sampling, so engines must price
-    /// exactly the given participants and must not re-apply their own
-    /// policies here.
-    fn round_time_for(&mut self, world: &World, round: usize, participants: &[AgentId]) -> f64;
-
-    /// Simulates round `round` over `participants` and reports the round
-    /// time *paired with* the realized effective-progress inputs a
-    /// [`LearningModel`] accumulates — the round-driven replacement for
-    /// projecting accuracy from [`RoundEngine::rounds_factor`] after the
-    /// fact.
-    ///
-    /// The default pairs [`RoundEngine::round_time_for`] with the engine's
-    /// analytic factor (exact for every closed-form baseline, whose
-    /// efficiency is round-invariant) and reports an idle round when the
-    /// participant set is empty — time may pass, but nothing is learned.
-    /// Engines whose efficiency varies round to round (ComDML's event
-    /// rounds under semi-sync/async staleness) override this.
-    fn round_progress_for(
-        &mut self,
-        world: &World,
-        round: usize,
-        participants: &[AgentId],
-    ) -> RoundProgress {
-        let round_s = self.round_time_for(world, round, participants);
-        if participants.is_empty() {
-            return RoundProgress::idle(round_s);
-        }
-        RoundProgress::fresh(round_s, self.rounds_factor(), participants.len())
-    }
+    /// Simulates one round over exactly `plan.participants`.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound;
 }
 
-/// Result of driving a [`RoundEngine`] to a target accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeToAccuracy {
-    /// Method name.
-    pub method: String,
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Total simulated seconds.
-    pub total_time_s: f64,
-    /// Mean seconds per round.
-    pub mean_round_s: f64,
-}
-
-/// Drives `engine` on a clone of `world` until `curve` says `target`
-/// accuracy is reached, accumulating simulated time.
-///
-/// # Panics
-///
-/// Panics if `target` exceeds the curve's asymptote.
-pub fn time_to_accuracy(
-    engine: &mut dyn RoundEngine,
-    world: &World,
-    curve: &LearningCurve,
-    target: f64,
-) -> TimeToAccuracy {
-    let rounds = curve.rounds_to(target, engine.rounds_factor());
-    let mut world = world.clone();
-    let mut total = 0.0;
-    for r in 0..rounds {
-        total += engine.round_time_s(&mut world, r);
+impl<E: RoundEngine + ?Sized> RoundEngine for Box<E> {
+    fn name(&self) -> &'static str {
+        (**self).name()
     }
-    TimeToAccuracy {
-        method: engine.name().to_string(),
-        rounds,
-        total_time_s: total,
-        mean_round_s: total / rounds as f64,
-    }
-}
 
-/// Report of one end-to-end ComDML run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ComDmlReport {
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Total simulated seconds.
-    pub total_time_s: f64,
-    /// Mean seconds per round.
-    pub mean_round_s: f64,
-    /// Mean offloading pairs per round.
-    pub mean_offloads: f64,
-    /// Combined idle seconds over the whole run.
-    pub total_idle_s: f64,
-    /// Combined critical-path communication seconds over the whole run.
-    pub total_comm_s: f64,
+    fn rounds_factor(&self) -> f64 {
+        (**self).rounds_factor()
+    }
+
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        (**self).run_round(plan)
+    }
 }
 
 /// The ComDML method: decentralized pairing + local-loss split training +
@@ -214,11 +202,7 @@ pub struct ComDml {
     config: ComDmlConfig,
     profile: SplitProfile,
     scheduler: PairingScheduler,
-    last_outcome: Option<RoundOutcome>,
     last_report: Option<EventRoundReport>,
-    /// Per-agent head starts carried between rounds by the semi-sync and
-    /// async aggregation modes (empty under the synchronous barrier).
-    ready_at: HashMap<AgentId, f64>,
     /// Sum of per-round staleness-weighted efficiencies (see
     /// [`EventRoundReport::efficiency`]) over `rounds_seen` rounds.
     efficiency_sum: f64,
@@ -227,27 +211,25 @@ pub struct ComDml {
 
 impl ComDml {
     /// Builds the method, profiling all candidate splits up front (the
-    /// paper's "prior to the training process" profiling step).
+    /// paper's "prior to the training process" profiling step). Byzantine
+    /// liar sets are salted with 0; [`crate::FleetSim::new`] salts them
+    /// with the fleet seed.
     pub fn new(config: ComDmlConfig) -> Self {
+        Self::salted(config, 0)
+    }
+
+    /// [`ComDml::new`] with the Byzantine liar set salted by `salt`.
+    pub(crate) fn salted(config: ComDmlConfig, salt: u64) -> Self {
         let full = SplitProfile::new(&config.model, config.batch_size);
         let profile = match &config.candidate_offloads {
             Some(c) => full.restrict_to(c),
             None => full,
         };
         let scheduler = match config.byzantine {
-            Some(b) => PairingScheduler::with_misreport(b, 0),
+            Some(b) => PairingScheduler::with_misreport(b, salt),
             None => PairingScheduler::new(),
         };
-        Self {
-            config,
-            profile,
-            scheduler,
-            last_outcome: None,
-            last_report: None,
-            ready_at: HashMap::new(),
-            efficiency_sum: 0.0,
-            rounds_seen: 0,
-        }
+        Self { config, profile, scheduler, last_report: None, efficiency_sum: 0.0, rounds_seen: 0 }
     }
 
     /// The active configuration.
@@ -260,117 +242,10 @@ impl ComDml {
         &self.profile
     }
 
-    /// The outcome of the most recent simulated round, if any.
-    pub fn last_outcome(&self) -> Option<&RoundOutcome> {
-        self.last_outcome.as_ref()
-    }
-
-    /// The full event-engine report of the most recent round (aggregation
-    /// cohort, spill-over, repairs), if any.
+    /// The full event-engine report of the most recent round (per-agent
+    /// timings, aggregation cohort, spill-over, repairs), if any.
     pub fn last_report(&self) -> Option<&EventRoundReport> {
         self.last_report.as_ref()
-    }
-
-    /// Simulates one round on `world` (applying churn and sampling) and
-    /// returns its outcome.
-    ///
-    /// The round executes on the discrete-event engine under the configured
-    /// [`AggregationMode`]; semi-synchronous and asynchronous modes carry
-    /// stragglers' unfinished work into the next call as per-agent head
-    /// starts.
-    pub fn run_round(&mut self, world: &mut World, round: usize) -> RoundOutcome {
-        if let Some(churn) = self.config.churn {
-            if churn.interval > 0 && round > 0 && round.is_multiple_of(churn.interval) {
-                world.churn_profiles(churn.fraction);
-            }
-        }
-        let participants: Vec<AgentId> = if self.config.sampling_rate < 1.0 {
-            world.sample_participants(self.config.sampling_rate)
-        } else {
-            world.agents().iter().map(|a| a.id).collect()
-        };
-        self.run_round_with(world, &participants)
-    }
-
-    /// Simulates one round over an externally chosen participant set —
-    /// churn and sampling are the caller's business (the elastic-fleet and
-    /// sweep harnesses pick membership themselves; [`ComDml::run_round`]
-    /// applies this config's policies and delegates here).
-    pub fn run_round_with(&mut self, world: &World, participants: &[AgentId]) -> RoundOutcome {
-        let estimator =
-            TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);
-        let pairing_timer = comdml_obs::phase("comdml.pairing");
-        let pairings = self.scheduler.pair(world, participants, &estimator);
-        drop(pairing_timer);
-        let round_timer = comdml_obs::phase("comdml.round");
-        let report = EventRound::new(
-            world,
-            &pairings,
-            &estimator,
-            &self.config.calibration,
-            self.config.algorithm,
-        )
-        .mode(self.config.aggregation)
-        .granularity(self.config.granularity)
-        .pair_threads(self.config.threads)
-        .ready_at(std::mem::take(&mut self.ready_at))
-        .run();
-        drop(round_timer);
-        self.ready_at = report
-            .spill_s
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s > 0.0)
-            .map(|(i, &s)| (AgentId(i), s))
-            .collect();
-        self.efficiency_sum += report.efficiency(self.config.staleness_decay);
-        self.rounds_seen += 1;
-        let outcome = report.outcome.clone();
-        self.last_report = Some(report);
-        self.last_outcome = Some(outcome.clone());
-        outcome
-    }
-
-    /// Runs to `target` accuracy on a clone of `world` and reports totals.
-    ///
-    /// Rounds advance a [`LearningModel`] with their staleness-weighted
-    /// *effective* progress ([`EventRoundReport::progress`]): under the
-    /// synchronous barrier every round counts fully and the round count
-    /// matches the curve's prediction exactly; semi-synchronous and
-    /// asynchronous runs need more wall rounds because stale updates
-    /// advance the curve less. A safety cap of 20× the nominal round count
-    /// bounds pathological configs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` exceeds the configured curve's asymptote.
-    pub fn run(&mut self, world: &World, target: f64) -> ComDmlReport {
-        let mut model = LearningModel::new(self.config.curve, target);
-        let cap = (model.needed_effective_rounds() * 20.0).ceil() as usize;
-        let mut world = world.clone();
-        let mut total = 0.0;
-        let mut idle = 0.0;
-        let mut comm = 0.0;
-        let mut offloads = 0usize;
-        let mut rounds = 0usize;
-        while !model.reached() && rounds < cap {
-            let outcome = self.run_round(&mut world, rounds);
-            let report = self.last_report.as_ref().expect("round just ran");
-            model.observe(&report.progress(self.config.staleness_decay));
-            total += outcome.round_s();
-            idle += outcome.total_idle_s();
-            comm += outcome.total_comm_s();
-            offloads += outcome.num_offloads;
-            rounds += 1;
-        }
-        ComDmlReport {
-            rounds,
-            total_time_s: total,
-            mean_round_s: total / rounds.max(1) as f64,
-            mean_offloads: offloads as f64 / rounds.max(1) as f64,
-            total_idle_s: idle,
-            total_comm_s: comm,
-        }
     }
 }
 
@@ -390,48 +265,107 @@ impl RoundEngine for ComDml {
         }
     }
 
-    fn round_time_s(&mut self, world: &mut World, round: usize) -> f64 {
-        self.run_round(world, round).round_s()
-    }
-
-    fn round_time_for(&mut self, world: &World, _round: usize, participants: &[AgentId]) -> f64 {
-        self.run_round_with(world, participants).round_s()
-    }
-
-    /// One event round's *realized* progress: unlike the closed-form
-    /// baselines, ComDML's efficiency varies round to round with the
-    /// staleness distribution of the aggregation cohort.
-    fn round_progress_for(
-        &mut self,
-        world: &World,
-        _round: usize,
-        participants: &[AgentId],
-    ) -> RoundProgress {
-        let _ = self.run_round_with(world, participants);
-        let report = self.last_report.as_ref().expect("round just ran");
-        report.progress(self.config.staleness_decay)
+    /// Pairs the participants, turns the forecast membership changes into
+    /// mid-round disruptions, and runs the round on the discrete-event
+    /// engine under the configured [`AggregationMode`]. Semi-synchronous
+    /// and asynchronous stragglers' unfinished work comes back as carry.
+    fn run_round(&mut self, plan: RoundPlan<'_>) -> EngineRound {
+        // Free the previous round's world-sized report before this one
+        // allocates its own.
+        self.last_report = None;
+        let estimator =
+            TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);
+        let pairing_timer = comdml_obs::phase("fleet.pairing");
+        let pairings = self.scheduler.pair(plan.world, plan.participants, &estimator);
+        drop(pairing_timer);
+        let disruptions: Vec<Disruption> = plan
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                // Joiners are not cohort members — the round engine only
+                // considers them as replacement helpers for repairs — so
+                // participation sampling (which gates who *trains and
+                // aggregates*) deliberately does not apply to them.
+                MembershipChange::Join => Some(Disruption::Join { agent: e.agent, at_s: e.at_s }),
+                // A departure only disrupts the round if the departing
+                // agent is actually in it; unsampled members leave the
+                // fleet without touching the round.
+                MembershipChange::Leave => plan
+                    .participants
+                    .binary_search(&e.agent)
+                    .is_ok()
+                    .then_some(Disruption::Leave { agent: e.agent, at_s: e.at_s }),
+            })
+            .collect();
+        let round_timer = comdml_obs::phase("fleet.round");
+        let report = EventRound::new(
+            plan.world,
+            &pairings,
+            &estimator,
+            &self.config.calibration,
+            self.config.algorithm,
+        )
+        .mode(self.config.aggregation)
+        .granularity(self.config.granularity)
+        .pair_threads(self.config.threads)
+        .disruptions(disruptions)
+        .ready_at(plan.ready_at)
+        .run();
+        drop(round_timer);
+        let carry = report
+            .spill_s
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s > 0.0)
+            .map(|(i, &s)| (AgentId(i), s))
+            .collect();
+        let progress = report.progress(self.config.staleness_decay);
+        self.efficiency_sum += progress.efficiency;
+        self.rounds_seen += 1;
+        let round = EngineRound {
+            progress,
+            events_processed: report.events_processed,
+            repairs: report.repairs,
+            carry,
+        };
+        self.last_report = Some(report);
+        round
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comdml_simnet::WorldConfig;
+    use crate::FleetSim;
+    use comdml_simnet::{FleetConfig, WorldConfig};
+
+    fn ids(world: &World) -> Vec<AgentId> {
+        world.agents().iter().map(|a| a.id).collect()
+    }
 
     #[test]
     fn run_produces_positive_times() {
         let world = WorldConfig::heterogeneous(10, 1).build();
-        let report = ComDml::new(ComDmlConfig::default()).run(&world, 0.80);
-        assert!(report.total_time_s > 0.0);
-        assert!(report.rounds > 0);
-        assert!(report.mean_offloads > 0.0, "heterogeneous world should offload");
+        let ids = ids(&world);
+        let mut comdml = ComDml::new(ComDmlConfig::default());
+        for r in 0..5 {
+            let round = comdml.run_round(RoundPlan::new(r, &world, &ids));
+            assert!(round.progress.round_s > 0.0);
+            let report = comdml.last_report().expect("round just ran");
+            assert!(report.outcome.num_offloads > 0, "heterogeneous world should offload");
+        }
     }
 
     #[test]
     fn comdml_beats_no_balancing_on_heterogeneous_world() {
         let world = WorldConfig::heterogeneous(10, 2).build();
+        let ids = ids(&world);
         let mut comdml = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let report = comdml.run(&world, 0.80);
+        let rounds = 10;
+        let mean_round_s = (0..rounds)
+            .map(|r| comdml.run_round(RoundPlan::new(r, &world, &ids)).progress.round_s)
+            .sum::<f64>()
+            / rounds as f64;
 
         // "No balancing": every agent trains alone; round time is the
         // straggler's solo time.
@@ -440,57 +374,48 @@ mod tests {
         let est = TrainingTimeEstimator::new(&cfg.model, &profile, &cfg.calibration);
         let straggler = world.agents().iter().map(|a| est.solo_time_s(a)).fold(0.0, f64::max);
         assert!(
-            report.mean_round_s < straggler * 0.8,
-            "balanced round {} vs straggler {straggler}",
-            report.mean_round_s
+            mean_round_s < straggler * 0.8,
+            "balanced round {mean_round_s} vs straggler {straggler}"
         );
     }
 
     #[test]
     fn sampling_reduces_participants() {
-        let world = WorldConfig::heterogeneous(50, 3).build();
-        let mut comdml = ComDml::new(ComDmlConfig {
-            sampling_rate: 0.2,
-            churn: None,
-            ..ComDmlConfig::default()
-        });
-        let mut w = world.clone();
-        let outcome = comdml.run_round(&mut w, 0);
-        assert_eq!(outcome.agent_stats.len(), 10);
+        // Sampling is the fleet harness's: the engine prices exactly the
+        // sampled participants it is handed.
+        let config = ComDmlConfig { sampling_rate: 0.2, churn: None, ..ComDmlConfig::default() };
+        let mut sim = FleetSim::new(FleetConfig::new(50, 3), config);
+        let summary = sim.step();
+        assert_eq!(summary.sampled, 10);
+        let report = sim.engine().last_report().expect("round just ran");
+        assert_eq!(report.outcome.agent_stats.len(), 10);
     }
 
     #[test]
     fn churn_triggers_on_interval() {
-        let world = WorldConfig::heterogeneous(20, 4).build();
-        let mut comdml = ComDml::new(ComDmlConfig {
+        let config = ComDmlConfig {
             churn: Some(ChurnPolicy { interval: 5, fraction: 0.5 }),
             ..ComDmlConfig::default()
-        });
-        let mut w = world.clone();
-        let before: Vec<_> = w.agents().iter().map(|a| a.profile).collect();
-        for r in 0..6 {
-            comdml.run_round(&mut w, r);
+        };
+        let mut sim = FleetSim::new(FleetConfig::new(20, 4), config);
+        let profiles = |sim: &FleetSim| -> Vec<_> {
+            sim.fleet().world().agents().iter().map(|a| a.profile).collect()
+        };
+        let before = profiles(&sim);
+        for _ in 0..5 {
+            sim.step();
         }
-        let after: Vec<_> = w.agents().iter().map(|a| a.profile).collect();
-        assert_ne!(before, after, "churn at round 5 should change profiles");
-    }
-
-    #[test]
-    fn time_to_accuracy_harness_runs_engines() {
-        let world = WorldConfig::heterogeneous(10, 5).build();
-        let mut engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let t = time_to_accuracy(&mut engine, &world, &LearningCurve::cifar10(true), 0.80);
-        assert_eq!(t.method, "ComDML");
-        assert!(t.total_time_s > 0.0);
-        assert!((t.mean_round_s * t.rounds as f64 - t.total_time_s).abs() < 1e-6);
+        assert_eq!(before, profiles(&sim), "no churn before round 5");
+        sim.step();
+        assert_ne!(before, profiles(&sim), "churn at round 5 should change profiles");
     }
 
     #[test]
     fn round_progress_reports_realized_efficiency() {
         let world = WorldConfig::heterogeneous(12, 7).build();
-        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let ids = ids(&world);
         let mut engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let p = engine.round_progress_for(&world, 0, &ids);
+        let p = engine.run_round(RoundPlan::new(0, &world, &ids)).progress;
         assert!((p.efficiency - 1.0).abs() < 1e-12, "sync barrier is fully fresh");
         assert_eq!(p.participants, 12);
         assert_eq!(p.cohort, 12);
@@ -502,25 +427,27 @@ mod tests {
             aggregation: AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX },
             ..ComDmlConfig::default()
         });
-        let sp = semi.round_progress_for(&world, 0, &ids);
+        let round = semi.run_round(RoundPlan::new(0, &world, &ids));
+        let sp = round.progress;
         assert!(
             sp.efficiency < 1.0,
             "stragglers past the quorum spill and discount efficiency, got {}",
             sp.efficiency
         );
         assert!(sp.cohort < sp.participants, "quorum cohort excludes stragglers");
+        assert!(!round.carry.is_empty(), "spilled stragglers carry their unfinished work");
     }
 
     #[test]
     fn restricted_candidates_are_respected() {
         let world = WorldConfig::heterogeneous(10, 6).build();
+        let ids = ids(&world);
         let mut comdml = ComDml::new(ComDmlConfig {
             candidate_offloads: Some(vec![10, 28, 46]),
             churn: None,
             ..ComDmlConfig::default()
         });
-        let mut w = world.clone();
-        comdml.run_round(&mut w, 0);
+        comdml.run_round(RoundPlan::new(0, &world, &ids));
         assert_eq!(comdml.profile().len(), 4); // 0 plus the three candidates
     }
 }

@@ -14,6 +14,14 @@ pub struct SplitDecision {
     pub offload: usize,
 }
 
+/// Solo training time `τ̂ = Ñ / p` of `agent` on the whole `spec` model —
+/// needs no split profile, so the fleet harness can bound its first
+/// planning horizon whatever engine it drives.
+pub(crate) fn solo_time_s(spec: &ModelSpec, cal: &CostCalibration, agent: &AgentState) -> f64 {
+    agent.num_batches() as f64
+        / cal.batches_per_s(spec.train_flops_per_sample(), agent.batch_size, agent.profile.cpus)
+}
+
 /// Algorithm 1's `AgentTrainingTime` function.
 ///
 /// For every candidate split `m` the estimator converts full-model
@@ -84,7 +92,7 @@ impl<'a> TrainingTimeEstimator<'a> {
 
     /// Solo training time `τ̂ = Ñ / p`: one local epoch without offloading.
     pub fn solo_time_s(&self, agent: &AgentState) -> f64 {
-        agent.num_batches() as f64 / self.batches_per_s(agent)
+        solo_time_s(self.spec, self.cal, agent)
     }
 
     /// Evaluates all splits for slow agent `i` offloading to fast agent `j`

@@ -1,13 +1,15 @@
-//! Multi-round ComDML over an elastic fleet.
+//! The one round loop: any [`RoundEngine`] driven across rounds on an
+//! elastic fleet.
 //!
 //! [`FleetSim`] marries the membership process of
-//! [`comdml_simnet::FleetDriver`] to the discrete-event round engine
-//! ([`crate::EventRound`]): every round it asks the driver for the current
-//! membership and the arrivals/departures expected inside a planning
-//! horizon, runs pairing + the event round with those changes injected as
-//! mid-round join/leave disruptions, then reports the realized round
-//! duration back so the fleet clock (and with it the churn process)
-//! advances exactly as fast as the simulation does.
+//! [`comdml_simnet::FleetDriver`] to a round engine — ComDML by default, or
+//! any baseline. Every round it shapes the world (diurnal links, regional
+//! partitions, profile churn), asks the driver for the current membership
+//! and the arrivals/departures expected inside a planning horizon, samples
+//! the participants, hands the engine that plan, then reports the realized
+//! round duration back so the fleet clock (and with it the churn process)
+//! advances exactly as fast as the simulation does. Every method is charged
+//! by these same rules.
 //!
 //! Per-agent carry-over (`ready_at` head starts from semi-sync/async
 //! spill) survives membership changes: it is kept for agents that remain
@@ -37,13 +39,10 @@
 
 use std::collections::HashMap;
 
-use comdml_cost::SplitProfile;
 use comdml_simnet::{AgentId, FleetConfig, FleetDriver, MembershipChange};
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    ComDmlConfig, Disruption, EventRound, PairingScheduler, RoundProgress, TrainingTimeEstimator,
-};
+use crate::{ComDml, ComDmlConfig, RoundEngine, RoundPlan, RoundProgress};
 
 /// What one elastic-fleet round produced.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,13 +118,13 @@ pub struct FleetReport {
     pub final_active: usize,
 }
 
-/// ComDML driven across rounds on an elastic fleet. See the module docs.
+/// A round engine driven across rounds on an elastic fleet. See the module
+/// docs.
 #[derive(Debug, Clone)]
-pub struct FleetSim {
+pub struct FleetSim<E: RoundEngine = ComDml> {
     fleet: FleetDriver,
     config: ComDmlConfig,
-    profile: SplitProfile,
-    scheduler: PairingScheduler,
+    engine: E,
     ready_at: HashMap<AgentId, f64>,
     last_round_s: f64,
     rounds_run: usize,
@@ -135,31 +134,32 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
+    /// ComDML on the fleet `fleet` describes: profiles candidate splits up
+    /// front and materializes the fleet.
+    pub fn new(fleet: FleetConfig, config: ComDmlConfig) -> Self {
+        // Byzantine liar sets are salted by the fleet seed so a sweep over
+        // seeds also re-rolls *which* agents lie, not just their profiles.
+        let engine = ComDml::salted(config.clone(), fleet.seed());
+        Self::with_engine(fleet.build(), config, engine)
+    }
+}
+
+impl<E: RoundEngine> FleetSim<E> {
     /// Horizon multiplier over the previous round's duration: generous
     /// enough that most membership events become mid-round disruptions
     /// rather than boundary commits, tight enough that far-future events
     /// are not dragged into the current round.
     const HORIZON_FACTOR: f64 = 2.0;
 
-    /// Builds the simulation: profiles candidate splits up front (like
-    /// [`crate::ComDml::new`]) and materializes the fleet.
-    pub fn new(fleet: FleetConfig, config: ComDmlConfig) -> Self {
-        let full = SplitProfile::new(&config.model, config.batch_size);
-        let profile = match &config.candidate_offloads {
-            Some(c) => full.restrict_to(c),
-            None => full,
-        };
-        // Byzantine liar sets are salted by the fleet seed so a sweep over
-        // seeds also re-rolls *which* agents lie, not just their profiles.
-        let scheduler = match config.byzantine {
-            Some(b) => PairingScheduler::with_misreport(b, fleet.seed()),
-            None => PairingScheduler::new(),
-        };
+    /// Drives `engine` on `fleet`. From `config` the harness takes the
+    /// environment — profile churn, participation sampling, diurnal links,
+    /// regional partitions — and the cost model that bounds the first
+    /// planning horizon; the engine's own knobs are its business.
+    pub fn with_engine(fleet: FleetDriver, config: ComDmlConfig, engine: E) -> Self {
         Self {
-            fleet: fleet.build(),
+            fleet,
             config,
-            profile,
-            scheduler,
+            engine,
             ready_at: HashMap::new(),
             last_round_s: 0.0,
             rounds_run: 0,
@@ -172,6 +172,11 @@ impl FleetSim {
     /// The underlying fleet driver (membership state, clock, counters).
     pub fn fleet(&self) -> &FleetDriver {
         &self.fleet
+    }
+
+    /// The engine being driven.
+    pub fn engine(&self) -> &E {
+        &self.engine
     }
 
     /// Per-agent head starts carried into the next round — only ever for
@@ -198,7 +203,7 @@ impl FleetSim {
             }
         }
         // The paper's dynamic-environment profile churn applies between
-        // rounds, exactly as in `ComDml::run_round`.
+        // rounds.
         let round = self.fleet.round();
         if let Some(churn) = self.config.churn {
             if churn.interval > 0 && round > 0 && round.is_multiple_of(churn.interval) {
@@ -210,16 +215,13 @@ impl FleetSim {
         } else {
             // First round: bound the window by the slowest possible solo
             // task so departures cannot land past the round's event drain.
-            let estimator = TrainingTimeEstimator::new(
-                &self.config.model,
-                &self.profile,
-                &self.config.calibration,
-            );
             self.fleet
                 .world()
                 .agents()
                 .iter()
-                .map(|a| estimator.solo_time_s(a))
+                .map(|a| {
+                    crate::estimator::solo_time_s(&self.config.model, &self.config.calibration, a)
+                })
                 .fold(0.0f64, f64::max)
         };
         let plan = self.fleet.begin_round(horizon);
@@ -249,51 +251,25 @@ impl FleetSim {
         } else {
             HashMap::new()
         };
-
-        let estimator =
-            TrainingTimeEstimator::new(&self.config.model, &self.profile, &self.config.calibration);
-        let pairing_timer = comdml_obs::phase("fleet.pairing");
-        let pairings = self.scheduler.pair(self.fleet.world(), &participants, &estimator);
-        drop(pairing_timer);
-        let disruptions: Vec<Disruption> = plan
+        let joins = plan.events.iter().filter(|e| e.kind == MembershipChange::Join).count();
+        let leaves = plan
             .events
             .iter()
-            .filter_map(|e| match e.kind {
-                // Joiners are not cohort members — the round engine only
-                // considers them as replacement helpers for repairs — so
-                // participation sampling (which gates who *trains and
-                // aggregates*) deliberately does not apply to them.
-                MembershipChange::Join => Some(Disruption::Join { agent: e.agent, at_s: e.at_s }),
-                // A departure only disrupts the round if the departing
-                // agent is actually in it; unsampled members leave the
-                // fleet without touching the round.
-                MembershipChange::Leave => participants
-                    .binary_search(&e.agent)
-                    .is_ok()
-                    .then_some(Disruption::Leave { agent: e.agent, at_s: e.at_s }),
+            .filter(|e| {
+                e.kind == MembershipChange::Leave && participants.binary_search(&e.agent).is_ok()
             })
-            .collect();
-        let joins = plan.events.iter().filter(|e| e.kind == MembershipChange::Join).count();
-        let leaves = disruptions.len() - joins;
+            .count();
 
-        let round_timer = comdml_obs::phase("fleet.round");
-        let report = EventRound::new(
-            self.fleet.world(),
-            &pairings,
-            &estimator,
-            &self.config.calibration,
-            self.config.algorithm,
-        )
-        .mode(self.config.aggregation)
-        .granularity(self.config.granularity)
-        .pair_threads(self.config.threads)
-        .disruptions(disruptions)
-        .ready_at(round_carry)
-        .run();
-        drop(round_timer);
+        let out = self.engine.run_round(RoundPlan {
+            round,
+            world: self.fleet.world(),
+            participants: &participants,
+            events: &plan.events,
+            ready_at: round_carry,
+        });
 
-        let mut round_s = report.round_end_s.max(0.0);
-        let efficiency = report.efficiency(self.config.staleness_decay);
+        let mut round_s = out.progress.round_s;
+        let efficiency = out.progress.efficiency;
         if round_s <= 0.0 {
             // An extinct (or instantaneous) round must still advance the
             // fleet clock, or pending arrivals could never activate and the
@@ -302,20 +278,12 @@ impl FleetSim {
             round_s = self.fleet.seconds_to_next_event().unwrap_or(0.0);
         }
         self.fleet.end_round(round_s);
-        // New carry-over: spill of agents that are still active members,
-        // plus the held head starts of active-but-unsampled agents.
-        self.ready_at = report
-            .spill_s
-            .iter()
-            .enumerate()
-            .filter(|&(i, &s)| s > 0.0 && self.fleet.is_active(AgentId(i)))
-            .map(|(i, &s)| (AgentId(i), s))
-            .collect();
-        for (id, s) in held {
-            if self.fleet.is_active(id) {
-                self.ready_at.insert(id, s);
-            }
-        }
+        // New carry-over: the engine's spill for agents that are still
+        // active members, plus the held head starts of active-but-unsampled
+        // agents.
+        self.ready_at = out.carry;
+        self.ready_at.extend(held);
+        self.ready_at.retain(|&id, _| self.fleet.is_active(id));
 
         // Of the leaves handed to the round, only those landing inside the
         // realized duration actually disrupted it; later forecast events
@@ -328,8 +296,8 @@ impl FleetSim {
         self.rounds_run += 1;
         self.total_sim_s += round_s;
         self.effective_rounds += efficiency;
-        self.events_processed += report.events_processed;
-        comdml_obs::counter_add("fleet.repairs", report.repairs as u64);
+        self.events_processed += out.events_processed;
+        comdml_obs::counter_add("fleet.repairs", out.repairs as u64);
         if comdml_obs::trace_enabled() {
             comdml_obs::trace_event(
                 "round",
@@ -338,8 +306,8 @@ impl FleetSim {
                     ("participants", comdml_obs::Value::Num(participants.len() as f64)),
                     ("round_s", comdml_obs::Value::Num(round_s)),
                     ("efficiency", comdml_obs::Value::Num(efficiency)),
-                    ("repairs", comdml_obs::Value::Num(report.repairs as f64)),
-                    ("events", comdml_obs::Value::Num(report.events_processed as f64)),
+                    ("repairs", comdml_obs::Value::Num(out.repairs as f64)),
+                    ("events", comdml_obs::Value::Num(out.events_processed as f64)),
                 ],
             );
         }
@@ -347,14 +315,14 @@ impl FleetSim {
             round,
             participants: plan.participants.len(),
             sampled: participants.len(),
-            cohort: report.cohort.len(),
+            cohort: out.progress.cohort,
             joins,
             leaves,
             leaves_committed,
-            repairs: report.repairs,
+            repairs: out.repairs,
             round_s,
             efficiency,
-            events_processed: report.events_processed,
+            events_processed: out.events_processed,
         }
     }
 

@@ -111,7 +111,7 @@ pub struct LearningModel {
 impl LearningModel {
     /// Tolerance for the target-reached comparison: accumulating per-round
     /// gains instead of dividing once must not cost a spurious extra round
-    /// to float noise (same guard as [`crate::ComDml::run`]).
+    /// to float noise.
     const EPS: f64 = 1e-9;
 
     /// A model tracking progress toward `target` on `curve`, with no

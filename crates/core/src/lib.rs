@@ -12,12 +12,13 @@
 //! 3. **Decentralized pairing** ([`PairingScheduler`]) — agents pair
 //!    greedily in descending order of solo training time, each slow agent
 //!    choosing the partner and split that minimize its estimated time.
-//! 4. **Round execution** ([`simulate_round`]) — a per-batch pipeline
-//!    simulation of paired local-loss split training, plus AllReduce
-//!    aggregation cost.
-//! 5. **End-to-end runs** ([`ComDml`]) — time-to-target-accuracy under the
-//!    paper's learning-curve and churn regime, shared with the baselines
-//!    through the [`RoundEngine`] trait.
+//! 4. **Round execution** ([`simulate_round`], [`EventRound`]) — a
+//!    per-batch pipeline simulation of paired local-loss split training,
+//!    plus AllReduce aggregation cost, on a discrete-event clock.
+//! 5. **Multi-round runs** ([`FleetSim`]) — the one round loop. It owns
+//!    membership, profile churn, participation sampling and the clock, and
+//!    drives [`ComDml`] or any baseline through the [`RoundEngine`] trait,
+//!    so every method is charged by the same rules.
 //!
 //! The crate also hosts [`RealSplitFleet`], which runs the same protocol
 //! with *real* gradient descent (miniature models from `comdml-nn`) to
@@ -26,13 +27,15 @@
 //! # Example
 //!
 //! ```
-//! use comdml_core::{ComDml, ComDmlConfig};
-//! use comdml_simnet::WorldConfig;
+//! use comdml_core::{ComDml, ComDmlConfig, RoundEngine, RoundPlan};
+//! use comdml_simnet::{AgentId, WorldConfig};
 //!
 //! let world = WorldConfig::heterogeneous(10, 42).build();
-//! let report = ComDml::new(ComDmlConfig::default()).run(&world, 0.80);
-//! assert!(report.total_time_s > 0.0);
-//! assert!(report.rounds > 0);
+//! let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+//! let mut comdml = ComDml::new(ComDmlConfig::default());
+//! let round = comdml.run_round(RoundPlan::new(0, &world, &ids));
+//! assert!(round.progress.round_s > 0.0);
+//! assert!(comdml.last_report().unwrap().outcome.num_offloads > 0);
 //! ```
 //!
 //! Part of the `comdml-rs` workspace — the crate map in the repository
@@ -50,9 +53,7 @@ mod round;
 mod scheduler;
 mod theory;
 
-pub use comdml::{
-    time_to_accuracy, ChurnPolicy, ComDml, ComDmlConfig, ComDmlReport, RoundEngine, TimeToAccuracy,
-};
+pub use comdml::{ChurnPolicy, ComDml, ComDmlConfig, EngineRound, RoundEngine, RoundPlan};
 pub use estimator::{
     EstimateMemo, FnvBuildHasher, FnvHasher, SplitDecision, TrainingTimeEstimator,
 };

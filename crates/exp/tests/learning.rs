@@ -20,7 +20,7 @@ use comdml_baselines::{
 use comdml_bench::rounds_with_sampling;
 use comdml_core::{AggregationMode, ChurnPolicy, FleetSim, RoundEngine};
 use comdml_exp::{run_job, Method, MethodParams, ScenarioSpec};
-use comdml_simnet::{ArrivalProcess, FleetDriver, SessionLifetime};
+use comdml_simnet::{ArrivalProcess, SessionLifetime};
 use proptest::prelude::*;
 
 /// The pre-round-driven `baseline_engine`, with its fixed constants
@@ -31,7 +31,7 @@ fn old_baseline_engine(
     seed: u64,
     density: f64,
 ) -> Box<dyn RoundEngine> {
-    let base = BaselineConfig { sampling_rate: 1.0, churn: None, ..BaselineConfig::default() };
+    let base = BaselineConfig::default();
     let p = &scenario.method_params;
     match method {
         Method::ComDml => unreachable!("ComDML runs through FleetSim"),
@@ -51,7 +51,7 @@ fn old_baseline_engine(
 }
 
 /// The retired closed-form projection, replicated verbatim: run the *full*
-/// round budget, then project `mean_round_s × rounds_to_target` from the
+/// round budget through the fleet harness, then project `mean_round_s × rounds_to_target` from the
 /// realized mean factor. Returns `(time_to_target_s, rounds_to_target)`.
 fn old_projection(scenario: &ScenarioSpec, method: Method, seed: u64) -> (f64, usize) {
     let (rounds_run, sim_s, rounds_factor) = if method == Method::ComDml {
@@ -59,35 +59,12 @@ fn old_projection(scenario: &ScenarioSpec, method: Method, seed: u64) -> (f64, u
         let r = sim.run(scenario.rounds);
         (r.rounds, r.total_sim_s, r.rounds_factor)
     } else {
-        let mut driver: FleetDriver = scenario.fleet_config(seed).build();
-        let density = driver.world().adjacency().density();
-        let mut engine = old_baseline_engine(scenario, method, seed, density);
-        let mut sim_s = 0.0f64;
-        let mut horizon = 30.0f64;
-        for r in 0..scenario.rounds {
-            if let Some(churn) = scenario.churn {
-                if churn.interval > 0 && r > 0 && r % churn.interval == 0 {
-                    driver.world_mut().churn_profiles(churn.fraction);
-                }
-            }
-            let plan = driver.begin_round(horizon);
-            let empty_round = plan.participants.is_empty();
-            let participants = if scenario.sampling_rate < 1.0 {
-                driver
-                    .world_mut()
-                    .sample_participants_among(&plan.participants, scenario.sampling_rate)
-            } else {
-                plan.participants
-            };
-            let mut t = engine.round_time_for(driver.world(), r, &participants);
-            if t <= 0.0 {
-                t = driver.seconds_to_next_event().unwrap_or(0.0);
-            }
-            driver.end_round(t);
-            sim_s += t;
-            horizon = if empty_round { 30.0 } else { (t * 2.0).max(1.0) };
-        }
-        (scenario.rounds, sim_s, engine.rounds_factor())
+        let fleet = scenario.fleet_config(seed).build();
+        let density = fleet.world().adjacency().density();
+        let engine = old_baseline_engine(scenario, method, seed, density);
+        let mut sim = FleetSim::with_engine(fleet, scenario.comdml_config(), engine);
+        let r = sim.run(scenario.rounds);
+        (r.rounds, r.total_sim_s, sim.engine().rounds_factor())
     };
     let mean_round_s = sim_s / rounds_run.max(1) as f64;
     let rounds_to_target = rounds_with_sampling(

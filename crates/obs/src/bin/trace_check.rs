@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Every line must parse as a JSON object carrying the envelope — a
-//! string `t` (event kind) and a non-negative integer `seq` — and the
-//! kinds this build knows must carry their documented fields:
+//! string `t` (event kind) and a non-negative integer `seq` that strictly
+//! increases from line to line — and the kinds this build knows must carry
+//! their documented fields:
 //!
 //! * `span`  — `name` (string), `ms` (number ≥ 0)
 //! * `log`   — `level` (error|warn|info|debug), `target`, `msg` (strings)
@@ -22,13 +23,14 @@ use std::process::ExitCode;
 
 use comdml_obs::Value;
 
-fn check_line(line: &str) -> Result<(), String> {
+/// Checks one line and returns its `seq`.
+fn check_line(line: &str) -> Result<u64, String> {
     let v = Value::parse(line).map_err(|e| format!("not JSON: {e}"))?;
     if v.as_object().is_none() {
         return Err("not a JSON object".into());
     }
     let kind = v.get("t").and_then(Value::as_str).ok_or("missing string field \"t\"")?;
-    v.get("seq").and_then(Value::as_u64).ok_or("missing non-negative integer \"seq\"")?;
+    let seq = v.get("seq").and_then(Value::as_u64).ok_or("missing non-negative integer \"seq\"")?;
     let need_str = |k: &str| {
         v.get(k).and_then(Value::as_str).map(|_| ()).ok_or(format!("{kind}: missing string {k:?}"))
     };
@@ -63,7 +65,26 @@ fn check_line(line: &str) -> Result<(), String> {
         }
         _ => {} // append-only schema: unknown kinds pass on the envelope
     }
-    Ok(())
+    Ok(seq)
+}
+
+/// Checks every line of a trace and returns the line count; the error
+/// names the first offending line.
+fn check_trace(text: &str) -> Result<usize, String> {
+    let mut n = 0usize;
+    let mut last_seq: Option<u64> = None;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let seq = check_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if let Some(last) = last_seq.filter(|&last| seq <= last) {
+            return Err(format!("line {}: seq {seq} does not increase past {last}", i + 1));
+        }
+        last_seq = Some(seq);
+        n += 1;
+    }
+    Ok(n)
 }
 
 fn run() -> Result<String, String> {
@@ -73,14 +94,7 @@ fn run() -> Result<String, String> {
         return Err("usage: trace_check <TRACE_*.jsonl>".into());
     }
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let mut n = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        check_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        n += 1;
-    }
+    let n = check_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     if n == 0 {
         return Err(format!("{path}: no trace lines (was tracing actually enabled?)"));
     }
@@ -97,5 +111,30 @@ fn main() -> ExitCode {
             eprintln!("trace_check: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ordered_trace_passes() {
+        let text = "{\"t\":\"x\",\"seq\":0}\n{\"t\":\"x\",\"seq\":1}\n";
+        assert_eq!(check_trace(text), Ok(2));
+    }
+
+    #[test]
+    fn out_of_order_seq_names_the_line() {
+        let text = "{\"t\":\"x\",\"seq\":1}\n{\"t\":\"x\",\"seq\":0}\n";
+        let err = check_trace(text).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains("seq 0"), "{err}");
+    }
+
+    #[test]
+    fn repeated_seq_is_rejected() {
+        let text = "{\"t\":\"x\",\"seq\":3}\n{\"t\":\"x\",\"seq\":3}\n";
+        assert!(check_trace(text).unwrap_err().starts_with("line 2:"));
     }
 }

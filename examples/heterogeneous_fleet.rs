@@ -6,25 +6,29 @@
 //! cargo run --example heterogeneous_fleet
 //! ```
 
-use comdml::core::{ChurnPolicy, ComDml, ComDmlConfig};
-use comdml::simnet::WorldConfig;
+use comdml::core::{ChurnPolicy, ComDmlConfig, FleetSim};
+use comdml::simnet::FleetConfig;
 
 fn main() {
-    let mut world = WorldConfig::heterogeneous(20, 7).total_samples(100_000).build();
-    let mut comdml = ComDml::new(ComDmlConfig {
-        churn: Some(ChurnPolicy { interval: 5, fraction: 0.3 }),
-        ..ComDmlConfig::default()
-    });
+    let fleet = FleetConfig::new(20, 7).samples_per_agent(5_000);
+    let mut sim = FleetSim::new(
+        fleet,
+        ComDmlConfig {
+            churn: Some(ChurnPolicy { interval: 5, fraction: 0.3 }),
+            ..ComDmlConfig::default()
+        },
+    );
 
     println!("round | time (s) | offloading pairs | straggler idle share");
     for r in 0..15 {
-        let outcome = comdml.run_round(&mut world, r);
+        let summary = sim.step();
+        let outcome = &sim.engine().last_report().expect("round just ran").outcome;
         let idle_share = outcome.total_idle_s()
             / (outcome.compute_s * outcome.agent_stats.len() as f64).max(1e-9);
         println!(
             "{:>5} | {:>8.1} | {:>16} | {:>19.1}%{}",
             r,
-            outcome.round_s(),
+            summary.round_s,
             outcome.num_offloads,
             idle_share * 100.0,
             if r > 0 && r % 5 == 0 { "   <- profiles churned" } else { "" }

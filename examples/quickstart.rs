@@ -5,13 +5,17 @@
 //! cargo run --example quickstart
 //! ```
 
-use comdml::core::{ComDml, ComDmlConfig, PairingScheduler, TrainingTimeEstimator};
+use comdml::core::{
+    ComDmlConfig, FleetSim, LearningModel, PairingScheduler, TrainingTimeEstimator,
+};
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml::simnet::WorldConfig;
+use comdml::simnet::FleetConfig;
 
 fn main() {
     // Ten agents with the paper's CPU/link profile mix, sharing CIFAR-10.
-    let world = WorldConfig::heterogeneous(10, 42).total_samples(50_000).build();
+    let fleet = FleetConfig::new(10, 42).samples_per_agent(5_000);
+    let mut sim = FleetSim::new(fleet, ComDmlConfig::default());
+    let world = sim.fleet().world().clone();
     println!("world: {:?}\n", world.summary());
 
     // What does one round's pairing look like?
@@ -41,12 +45,20 @@ fn main() {
         }
     }
 
-    // Run the whole training to 80% accuracy.
-    let mut comdml = ComDml::new(ComDmlConfig::default());
-    let report = comdml.run(&world, 0.80);
+    // Run the whole training to 80% accuracy, round by round.
+    let mut model = LearningModel::new(ComDmlConfig::default().curve, 0.80);
+    let mut offloads = 0;
+    while !model.reached() {
+        model.observe(&(&sim.step()).into());
+        offloads += sim.engine().last_report().expect("round just ran").outcome.num_offloads;
+    }
+    let report = sim.report();
     println!(
         "\nComDML reached 80% in {} rounds, {:.0} simulated seconds \
          ({:.1}s/round, {:.1} offloading pairs/round)",
-        report.rounds, report.total_time_s, report.mean_round_s, report.mean_offloads
+        report.rounds,
+        report.total_sim_s,
+        report.total_sim_s / report.rounds as f64,
+        offloads as f64 / report.rounds as f64
     );
 }

@@ -6,8 +6,8 @@
 //! cargo run --example topology_comparison
 //! ```
 
-use comdml::core::{ComDml, ComDmlConfig};
-use comdml::simnet::{Topology, WorldConfig};
+use comdml::core::{ComDmlConfig, FleetSim, LearningModel};
+use comdml::simnet::{FleetConfig, Topology};
 
 fn main() {
     let k = 50;
@@ -23,13 +23,23 @@ fn main() {
         ("random p=0.05", Topology::random(0.05)),
         ("ring", Topology::Ring),
     ] {
-        let world =
-            WorldConfig::heterogeneous(k, 42).total_samples(5_000 * k).topology(topo).build();
-        let mut comdml = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
-        let report = comdml.run(&world, 0.80);
+        let fleet = FleetConfig::new(k, 42).samples_per_agent(5_000).topology(topo);
+        let config = ComDmlConfig { churn: None, ..ComDmlConfig::default() };
+        let mut model = LearningModel::new(config.curve, 0.80);
+        let mut sim = FleetSim::new(fleet, config);
+        let mut offloads = 0;
+        while !model.reached() {
+            model.observe(&(&sim.step()).into());
+            offloads += sim.engine().last_report().expect("round just ran").outcome.num_offloads;
+        }
+        let report = sim.report();
+        let rounds = report.rounds as f64;
         println!(
             "{:<22} {:>10.0} {:>12.1} {:>18.1}",
-            name, report.total_time_s, report.mean_round_s, report.mean_offloads
+            name,
+            report.total_sim_s,
+            report.total_sim_s / rounds,
+            offloads as f64 / rounds
         );
     }
     println!(

@@ -26,8 +26,8 @@
 //!   engine (`EventRound`): synchronous, semi-synchronous and asynchronous
 //!   aggregation with FedBuff-style staleness-weighted learning progress,
 //!   mid-round failure re-pairing, per-agent carry-over, coarse
-//!   closed-form event granularity for fleet scale, and `FleetSim` driving
-//!   whole multi-round runs over a churning fleet.
+//!   closed-form event granularity for fleet scale, and `FleetSim` — the
+//!   one round loop — driving ComDML or any baseline over a churning fleet.
 //! * [`baselines`] — FedAvg, Gossip Learning, BrainTorrent, AllReduce DML —
 //!   all executing on the same shared simulated clock.
 //! * [`exp`] — declarative scenario specs (`ScenarioSpec`/`SweepSpec`) and
@@ -49,13 +49,18 @@
 //! # Quickstart
 //!
 //! ```
-//! use comdml::core::{ComDml, ComDmlConfig};
-//! use comdml::simnet::WorldConfig;
+//! use comdml::baselines::{BaselineConfig, FedAvg};
+//! use comdml::core::{ComDmlConfig, FleetSim};
+//! use comdml::simnet::FleetConfig;
 //!
 //! # fn main() {
-//! let world = WorldConfig::heterogeneous(10, 42).build();
-//! let report = ComDml::new(ComDmlConfig::default()).run(&world, 0.80);
-//! assert!(report.total_time_s > 0.0);
+//! // ComDML and a baseline, driven by the same fleet harness.
+//! let config = ComDmlConfig::default();
+//! let comdml = FleetSim::new(FleetConfig::new(10, 42), config.clone()).run(20);
+//! let fedavg = FedAvg::new(BaselineConfig::default());
+//! let fleet = FleetConfig::new(10, 42).build();
+//! let fedavg = FleetSim::with_engine(fleet, config, fedavg).run(20);
+//! assert!(comdml.total_sim_s < fedavg.total_sim_s);
 //! # }
 //! ```
 //!

@@ -3,10 +3,12 @@
 //! simulation, failure-driven re-pairing, and the three aggregation modes
 //! selectable from `ComDmlConfig`.
 
+use std::collections::HashMap;
+
 use comdml::collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml::core::{
     simulate_round, AggregationMode, ComDml, ComDmlConfig, Disruption, EventRound, PairRoundSim,
-    Pairing, PairingScheduler, TrainingTimeEstimator,
+    Pairing, PairingScheduler, RoundEngine, RoundOutcome, RoundPlan, TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml::simnet::{Adjacency, AgentId, AgentProfile, AgentState, World, WorldConfig};
@@ -15,6 +17,21 @@ fn fixtures() -> (ModelSpec, SplitProfile, CostCalibration) {
     let spec = ModelSpec::resnet56();
     let profile = SplitProfile::new(&spec, 100);
     (spec, profile, CostCalibration::default())
+}
+
+/// Runs round `r` of `engine` over every agent of `world`, carrying
+/// stragglers' unfinished work between rounds in `carry`, and returns the
+/// round's outcome.
+fn run_round(
+    engine: &mut ComDml,
+    world: &World,
+    r: usize,
+    carry: &mut HashMap<AgentId, f64>,
+) -> RoundOutcome {
+    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+    let plan = RoundPlan { ready_at: std::mem::take(carry), ..RoundPlan::new(r, world, &ids) };
+    *carry = engine.run_round(plan).carry;
+    engine.last_report().expect("round just ran").outcome.clone()
 }
 
 /// Reference stats per agent: (id, train, comm, idle, finish).
@@ -257,8 +274,7 @@ fn synchronous_mode_from_config_matches_simulate_round() {
         aggregation: AggregationMode::Synchronous,
         ..ComDmlConfig::default()
     });
-    let mut w = world.clone();
-    let outcome = engine.run_round(&mut w, 0);
+    let outcome = run_round(&mut engine, &world, 0, &mut HashMap::new());
     let report = engine.last_report().expect("event report recorded");
     assert_eq!(report.outcome, outcome);
     assert!(report.spill_s.iter().all(|&s| s == 0.0), "a barrier leaves no spill");
@@ -268,16 +284,16 @@ fn synchronous_mode_from_config_matches_simulate_round() {
 #[test]
 fn semi_synchronous_mode_from_config_skips_stragglers() {
     let world = WorldConfig::heterogeneous(20, 22).build();
-    let sync_round = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() })
-        .run_round(&mut world.clone(), 0);
+    let mut sync_engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
+    let sync_round = run_round(&mut sync_engine, &world, 0, &mut HashMap::new());
 
     let mut engine = ComDml::new(ComDmlConfig {
         churn: None,
         aggregation: AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: 1e9 },
         ..ComDmlConfig::default()
     });
-    let mut w = world.clone();
-    let outcome = engine.run_round(&mut w, 0);
+    let mut carry = HashMap::new();
+    let outcome = run_round(&mut engine, &world, 0, &mut carry);
     let report = engine.last_report().unwrap().clone();
 
     assert!(
@@ -292,23 +308,22 @@ fn semi_synchronous_mode_from_config_skips_stragglers() {
         "stragglers must carry work into the next round"
     );
     // The carry-over is consumed by the next round.
-    let second = engine.run_round(&mut w, 1);
+    let second = run_round(&mut engine, &world, 1, &mut carry);
     assert!(second.round_s().is_finite() && second.round_s() > 0.0);
 }
 
 #[test]
 fn asynchronous_mode_from_config_advances_at_mean_pace() {
     let world = WorldConfig::heterogeneous(20, 23).build();
-    let sync_round = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() })
-        .run_round(&mut world.clone(), 0);
+    let mut sync_engine = ComDml::new(ComDmlConfig { churn: None, ..ComDmlConfig::default() });
+    let sync_round = run_round(&mut sync_engine, &world, 0, &mut HashMap::new());
 
     let mut engine = ComDml::new(ComDmlConfig {
         churn: None,
         aggregation: AggregationMode::Asynchronous,
         ..ComDmlConfig::default()
     });
-    let mut w = world.clone();
-    let outcome = engine.run_round(&mut w, 0);
+    let outcome = run_round(&mut engine, &world, 0, &mut HashMap::new());
     let report = engine.last_report().unwrap();
     assert!(
         outcome.compute_s < sync_round.compute_s,
@@ -325,13 +340,12 @@ fn asynchronous_mode_from_config_advances_at_mean_pace() {
         aggregation: AggregationMode::Asynchronous,
         ..ComDmlConfig::default()
     });
-    let mut w_sync = world.clone();
-    let mut w_async = world.clone();
+    let (mut carry_sync, mut carry_async) = (HashMap::new(), HashMap::new());
     let mut total_sync = 0.0;
     let mut total_async = 0.0;
     for r in 0..5 {
-        total_sync += sync_engine.run_round(&mut w_sync, r).round_s();
-        total_async += async_engine.run_round(&mut w_async, r).round_s();
+        total_sync += run_round(&mut sync_engine, &world, r, &mut carry_sync).round_s();
+        total_async += run_round(&mut async_engine, &world, r, &mut carry_async).round_s();
     }
     assert!(
         total_async <= total_sync + 1e-9,

@@ -14,10 +14,11 @@ use std::collections::HashMap;
 use comdml::collective::AllReduceAlgorithm;
 use comdml::core::{
     staleness_weight, AggregationMode, ComDml, ComDmlConfig, EventGranularity, EventRound,
-    FleetSim, PairingScheduler, TrainingTimeEstimator,
+    FleetSim, LearningModel, PairingScheduler, RoundEngine, RoundOutcome, RoundPlan,
+    TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
-use comdml::simnet::{AgentId, ArrivalProcess, FleetConfig, SessionLifetime, WorldConfig};
+use comdml::simnet::{AgentId, ArrivalProcess, FleetConfig, SessionLifetime, World, WorldConfig};
 use proptest::prelude::*;
 
 fn fleet(k: usize, seed: u64, rate: f64, mean_session: f64) -> FleetConfig {
@@ -37,6 +38,21 @@ fn config(mode: AggregationMode, granularity: EventGranularity) -> ComDmlConfig 
     }
 }
 
+/// Runs round `r` of `engine` over every agent of `world`, carrying
+/// stragglers' unfinished work between rounds in `carry`, and returns the
+/// round's outcome.
+fn run_round(
+    engine: &mut ComDml,
+    world: &World,
+    r: usize,
+    carry: &mut HashMap<AgentId, f64>,
+) -> RoundOutcome {
+    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+    let plan = RoundPlan { ready_at: std::mem::take(carry), ..RoundPlan::new(r, world, &ids) };
+    *carry = engine.run_round(plan).carry;
+    engine.last_report().expect("round just ran").outcome.clone()
+}
+
 #[test]
 fn coarse_matches_fine_without_disruptions() {
     // All three aggregation modes, several rounds with carry-over: every
@@ -49,11 +65,10 @@ fn coarse_matches_fine_without_disruptions() {
         let world = WorldConfig::heterogeneous(24, 9).total_samples(24 * 2000).build();
         let mut fine = ComDml::new(config(mode, EventGranularity::Fine));
         let mut coarse = ComDml::new(config(mode, EventGranularity::Coarse));
-        let mut wf = world.clone();
-        let mut wc = world.clone();
+        let (mut carry_fine, mut carry_coarse) = (HashMap::new(), HashMap::new());
         for r in 0..6 {
-            let of = fine.run_round(&mut wf, r);
-            let oc = coarse.run_round(&mut wc, r);
+            let of = run_round(&mut fine, &world, r, &mut carry_fine);
+            let oc = run_round(&mut coarse, &world, r, &mut carry_coarse);
             let tol = 1e-9 * of.round_s().max(1.0);
             assert!(
                 (of.round_s() - oc.round_s()).abs() <= tol,
@@ -126,11 +141,11 @@ fn semi_sync_staleness_separates_modes() {
     let world = WorldConfig::heterogeneous(20, 5).total_samples(20 * 2000).build();
     let factor = |mode| {
         let mut engine = ComDml::new(config(mode, EventGranularity::Coarse));
-        let mut w = world.clone();
+        let mut carry = HashMap::new();
         for r in 0..5 {
-            engine.run_round(&mut w, r);
+            run_round(&mut engine, &world, r, &mut carry);
         }
-        comdml::core::RoundEngine::rounds_factor(&engine)
+        engine.rounds_factor()
     };
     let sync = factor(AggregationMode::Synchronous);
     let semi = factor(AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX });
@@ -150,11 +165,11 @@ fn rounds_factor_is_monotone_in_staleness_decay() {
         );
         cfg.staleness_decay = decay;
         let mut engine = ComDml::new(cfg);
-        let mut w = world.clone();
+        let mut carry = HashMap::new();
         for r in 0..5 {
-            engine.run_round(&mut w, r);
+            run_round(&mut engine, &world, r, &mut carry);
         }
-        comdml::core::RoundEngine::rounds_factor(&engine)
+        engine.rounds_factor()
     };
     let factors: Vec<f64> =
         [0.0, 0.25, 0.5, 1.0, 2.0].iter().map(|&d| factor_with_decay(d)).collect();
@@ -172,13 +187,17 @@ fn rounds_factor_is_monotone_in_staleness_decay() {
 
 #[test]
 fn semi_sync_run_needs_more_rounds_than_sync() {
-    // End-to-end: stale updates advance the learning curve less, so the
-    // adaptive run() takes more wall rounds to the same target.
-    let world = WorldConfig::heterogeneous(16, 11).total_samples(16 * 1500).build();
+    // End-to-end: stale updates advance the learning curve less, so a run
+    // stepped until the learning model reaches the target takes more wall
+    // rounds.
     let rounds = |mode| {
-        ComDml::new(ComDmlConfig { churn: None, aggregation: mode, ..ComDmlConfig::default() })
-            .run(&world, 0.80)
-            .rounds
+        let config = ComDmlConfig { churn: None, aggregation: mode, ..ComDmlConfig::default() };
+        let mut model = LearningModel::new(config.curve, 0.80);
+        let mut sim = FleetSim::new(FleetConfig::new(16, 11).samples_per_agent(1500), config);
+        while !model.reached() && model.rounds_observed() < 1_000 {
+            model.observe(&(&sim.step()).into());
+        }
+        model.rounds_observed()
     };
     let sync = rounds(AggregationMode::Synchronous);
     let semi = rounds(AggregationMode::SemiSynchronous { quorum: 0.5, staleness_s: f64::MAX });
