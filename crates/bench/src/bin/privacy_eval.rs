@@ -10,7 +10,7 @@
 //! the most — with real gradient descent on the miniature synthetic task
 //! (see DESIGN.md §2 for the substitution rationale).
 
-use comdml_core::{RealFleetConfig, RealSplitFleet};
+use comdml_nn::{RealFleetConfig, RealSplitFleet};
 use comdml_privacy::{distance_correlation, LaplaceMechanism, PatchShuffler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -6,7 +6,6 @@ use comdml_simnet::{
     AgentId, ByzantineConfig, DiurnalCycle, MembershipChange, MembershipEvent, PartitionSchedule,
     World,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::{
     AggregationMode, Disruption, EventGranularity, EventRound, EventRoundReport, LearningCurve,
@@ -16,7 +15,7 @@ use crate::{
 /// Dynamic-environment policy: re-roll a fraction of agent profiles every
 /// `interval` rounds ("we randomly changed the profile of 20% of the agents
 /// after 100 rounds", §V-B.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnPolicy {
     /// Rounds between churn events.
     pub interval: usize,

@@ -40,12 +40,11 @@
 use std::collections::HashMap;
 
 use comdml_simnet::{AgentId, FleetConfig, FleetDriver, MembershipChange};
-use serde::{Deserialize, Serialize};
 
 use crate::{ComDml, ComDmlConfig, RoundEngine, RoundPlan, RoundProgress};
 
 /// What one elastic-fleet round produced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetRoundSummary {
     /// Zero-based round index.
     pub round: usize,
@@ -95,7 +94,7 @@ impl From<&FleetRoundSummary> for RoundProgress {
 }
 
 /// Aggregate report of a [`FleetSim::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetReport {
     /// Rounds executed.
     pub rounds: usize,

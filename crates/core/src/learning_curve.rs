@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// FedBuff-style polynomial staleness discount: the contribution weight of
 /// an update that arrives `staleness` rounds after the aggregation it was
 /// computed for, `w(s) = (1 + s)^(-decay)`.
@@ -47,7 +45,7 @@ pub fn staleness_weight(staleness: f64, decay: f64) -> f64 {
 /// let r80 = curve.rounds_to(0.80, 1.0);
 /// assert!(r80 < r90);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearningCurve {
     /// Asymptotic accuracy of the model/dataset combination.
     pub a_max: f64,
@@ -139,7 +137,7 @@ impl LearningCurve {
     /// Fits a curve to observed `(round, accuracy)` points by grid search
     /// over `(a_max, tau)` minimizing squared error — used to calibrate the
     /// simulator's curves against real training runs (e.g. the accuracy
-    /// trajectory of a [`crate::RealSplitFleet`]).
+    /// trajectory of a `comdml_nn::RealSplitFleet`).
     ///
     /// Returns `None` for fewer than two points or degenerate accuracies.
     pub fn fit(points: &[(f64, f64)]) -> Option<Self> {

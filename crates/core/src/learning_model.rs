@@ -38,8 +38,6 @@
 //! assert!(model.accuracy() >= 0.80);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::LearningCurve;
 
 /// The sub-linear participation-sampling penalty: when only a `rate`
@@ -55,7 +53,7 @@ pub fn sampling_penalty(rate: f64) -> f64 {
 /// What one simulated round contributed to learning — the
 /// effective-progress inputs every [`crate::RoundEngine`] reports alongside
 /// its round time, consumed by [`LearningModel::observe`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundProgress {
     /// Simulated seconds the round took.
     pub round_s: f64,

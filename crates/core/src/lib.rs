@@ -20,9 +20,9 @@
 //!    drives [`ComDml`] or any baseline through the [`RoundEngine`] trait,
 //!    so every method is charged by the same rules.
 //!
-//! The crate also hosts [`RealSplitFleet`], which runs the same protocol
-//! with *real* gradient descent (miniature models from `comdml-nn`) to
-//! demonstrate the convergence claims of Theorem 1.
+//! The crate is the simulator only: it depends on the cost model, the
+//! simulated network, the collective cost formulas and `comdml-obs`. The
+//! same protocol with *real* gradient descent is `comdml_nn::RealSplitFleet`.
 //!
 //! # Example
 //!
@@ -48,10 +48,8 @@ mod fleet;
 mod learning_curve;
 mod learning_model;
 mod multi;
-mod real_fleet;
 mod round;
 mod scheduler;
-mod theory;
 
 pub use comdml::{ChurnPolicy, ComDml, ComDmlConfig, EngineRound, RoundEngine, RoundPlan};
 pub use estimator::{
@@ -65,7 +63,5 @@ pub use fleet::{FleetReport, FleetRoundSummary, FleetSim};
 pub use learning_curve::{staleness_weight, LearningCurve};
 pub use learning_model::{sampling_penalty, LearningModel, RoundProgress};
 pub use multi::{helper_completion_s, pair_with_capacity, MultiPairing};
-pub use real_fleet::{InputHook, ParamHook, RealFleetConfig, RealFleetReport, RealSplitFleet};
 pub use round::{simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
 pub use scheduler::{Pairing, PairingOrder, PairingScheduler};
-pub use theory::ConvergenceConstants;

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Converts abstract resource profiles into seconds.
 ///
 /// The paper assigns each agent a CPU profile (4, 2, 1, 0.5 or 0.2 "CPUs")
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let per_batch = cal.batch_time_s(spec.train_flops_per_sample(), 100, 1.0);
 /// assert!(per_batch > 0.1 && per_batch < 60.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostCalibration {
     /// Sustained training throughput of one CPU unit, in FLOPs per second.
     pub flops_per_cpu_s: f64,

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// The kind of a weighted layer, used for display and sanity checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution.
     Conv,
@@ -15,7 +13,7 @@ pub enum LayerKind {
 /// the backward pass is modelled as twice the forward cost (one pass for
 /// input gradients, one for weight gradients), the standard approximation for
 /// dense/conv workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Human-readable layer name, e.g. `"stage2.block3.conv1"`.
     pub name: String,

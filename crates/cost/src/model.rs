@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 #[cfg(test)]
 use crate::LayerKind;
 use crate::LayerSpec;
@@ -19,7 +17,7 @@ use crate::LayerSpec;
 /// let r110 = ModelSpec::resnet110();
 /// assert!(r110.train_flops_per_sample() > 1.9 * r56.train_flops_per_sample());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     name: String,
     layers: Vec<LayerSpec>,

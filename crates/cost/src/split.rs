@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::ModelSpec;
 
 /// Profiling result for one candidate split `m` (number of offloaded layers).
@@ -8,7 +6,7 @@ use crate::ModelSpec;
 /// the full-model per-batch compute that each side performs — matching the
 /// paper's `T_s^{a_m}` and `T_f^{a_m}` (Algorithm 1 converts an agent's
 /// full-model processing speed `p` into split speeds via `p^m = p / T^m`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitEntry {
     /// Number of layers offloaded to the fast agent (suffix length).
     pub offload: usize,
@@ -40,7 +38,7 @@ pub struct SplitEntry {
 /// assert_eq!(profile.len(), 56); // m in 0..=55
 /// assert_eq!(profile.entry(0).unwrap().nu_bytes_per_batch, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitProfile {
     entries: Vec<SplitEntry>,
     batch_size: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Metadata of a benchmark dataset — everything the scheduler and the
 /// timing simulations need to know about the data.
 ///
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(DatasetSpec::cifar100().num_classes, 100);
 /// assert_eq!(DatasetSpec::cinic10().train_samples, 90_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetSpec {
     /// Dataset name.
     pub name: String,

@@ -459,6 +459,14 @@ impl ScenarioSpec {
         if self.agents == 0 {
             return Err(format!("{ctx}: agents must be positive"));
         }
+        if self.samples_per_agent == 0 {
+            return Err(format!("{ctx}: samples_per_agent must be positive"));
+        }
+        if let Some(cap) = self.max_agents {
+            if cap < self.agents {
+                return Err(format!("{ctx}: max_agents {cap} is below agents {}", self.agents));
+            }
+        }
         if self.batch_size == 0 {
             return Err(format!("{ctx}: batch_size must be positive"));
         }
@@ -1278,6 +1286,15 @@ mod tests {
             .method(Method::ComDml)
             .scenario(ScenarioSpec::new("a").dataset("mnist", true));
         assert!(bad_dataset.validate().is_err());
+        let wrap = |s: ScenarioSpec| SweepSpec::new("x").method(Method::ComDml).scenario(s);
+        let mut no_data = ScenarioSpec::new("a");
+        no_data.samples_per_agent = 0;
+        assert!(wrap(no_data).validate().unwrap_err().contains("samples_per_agent"));
+        let mut low_cap = ScenarioSpec::new("a").agents(10);
+        low_cap.max_agents = Some(9);
+        assert!(wrap(low_cap.clone()).validate().unwrap_err().contains("max_agents"));
+        low_cap.max_agents = Some(10);
+        assert!(wrap(low_cap).validate().is_ok(), "a cap equal to the fleet is valid");
     }
 
     #[test]

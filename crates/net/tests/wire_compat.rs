@@ -4,12 +4,15 @@
 //! * the version handshake negotiates the minimum revision both ways;
 //! * frames of unknown kind are **skipped with a warning**, not raised as
 //!   errors — a peer from an adjacent (newer) build that interleaves
-//!   future message kinds still interoperates.
+//!   future message kinds still interoperates;
+//! * decoding a frame body from an untrusted peer never panics, whatever
+//!   the kind tag and bytes.
 
 use std::net::{TcpListener, TcpStream};
 
 use comdml_net::frame::write_frame;
 use comdml_net::{FramedStream, Message, PROTOCOL_VERSION};
+use proptest::prelude::*;
 
 fn raw_tcp_pair() -> (TcpStream, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -162,4 +165,41 @@ fn handshake_survives_leading_unknown_frames() {
     assert_eq!(server.handshake().unwrap(), PROTOCOL_VERSION);
     assert_eq!(server.skipped_unknown(), 2);
     assert_eq!(t.join().unwrap(), PROTOCOL_VERSION);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Arbitrary bytes under an arbitrary kind tag decode to a message, an
+    /// error or `None` (unknown kind), never a panic. `kind % 32` runs the
+    /// same bytes through a known kind's decoder as well.
+    #[test]
+    fn decode_body_never_panics_on_arbitrary_input(
+        kind in 0u16..=u16::MAX,
+        body in prop::collection::vec(0u8..=255, 0..257),
+    ) {
+        for k in [kind, kind % 32] {
+            let _ = Message::decode_body(k, &body);
+        }
+    }
+
+    /// A valid body that is cut short and has one byte flipped is the
+    /// hostile input closest to a real message; it must not panic either.
+    #[test]
+    fn decode_body_never_panics_on_corrupted_messages(
+        pick in 0usize..64,
+        cut in 0usize..4096,
+        at in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        let vocabulary = farm_vocabulary();
+        let msg = &vocabulary[pick % vocabulary.len()];
+        let mut body = msg.encode_body();
+        body.truncate(cut % (body.len() + 1));
+        if !body.is_empty() {
+            let i = at % body.len();
+            body[i] ^= flip;
+        }
+        let _ = Message::decode_body(msg.kind(), &body);
+    }
 }

@@ -11,7 +11,9 @@
 //! This crate implements that machinery for real: [`Layer`]s with full
 //! forward/backward passes, [`Sequential`] models, the [`CrossEntropyLoss`],
 //! the [`AuxHead`], and [`LocalLossSplit`] which cuts a model in two and
-//! trains both sides exactly as the paper prescribes.
+//! trains both sides exactly as the paper prescribes. [`RealSplitFleet`]
+//! runs the whole ComDML protocol on top of it: paired split training on a
+//! synthetic dataset plus AllReduce aggregation, with real gradients.
 //!
 //! # Example: split a model and train both sides
 //!
@@ -40,6 +42,7 @@ mod layer;
 mod layers;
 mod loss;
 pub mod models;
+mod real_fleet;
 mod schedule;
 mod sequential;
 mod split;
@@ -53,6 +56,7 @@ pub use layers::{
     Residual,
 };
 pub use loss::CrossEntropyLoss;
+pub use real_fleet::{InputHook, ParamHook, RealFleetConfig, RealFleetReport, RealSplitFleet};
 pub use schedule::ReduceOnPlateau;
 pub use sequential::Sequential;
 pub use split::{AuxHead, LocalLossSplit, SgdPair, SplitLosses};

@@ -2,10 +2,11 @@ use comdml_collective::halving_doubling_allreduce;
 use comdml_data::{
     iid_partition, Batcher, DatasetSpec, DirichletPartitioner, SyntheticImageDataset,
 };
-use comdml_nn::{accuracy, models, LocalLossSplit, Sequential, SgdPair, Trainer};
 use comdml_tensor::ParamVec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use crate::{accuracy, models, LocalLossSplit, Sequential, SgdPair, Trainer};
 
 /// Configuration of a real (gradient-descent) ComDML fleet.
 #[derive(Debug, Clone)]
@@ -92,7 +93,7 @@ enum AgentModel {
 /// # Example
 ///
 /// ```
-/// use comdml_core::{RealFleetConfig, RealSplitFleet};
+/// use comdml_nn::{RealFleetConfig, RealSplitFleet};
 ///
 /// let mut fleet = RealSplitFleet::new(RealFleetConfig {
 ///     num_agents: 2,

@@ -1,15 +1,11 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::AgentProfile;
 
 /// Identifier of an agent in a simulated world.
 ///
 /// A newtype over the agent's index; printable as `agent#7`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AgentId(pub usize);
 
 impl fmt::Display for AgentId {
@@ -28,7 +24,7 @@ impl From<usize> for AgentId {
 ///
 /// The "task size" is the number of local mini-batches per round (`Ñ_i` in
 /// Algorithm 1) — the paper ties workload directly to local dataset size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentState {
     /// Agent identity.
     pub id: AgentId,

@@ -32,7 +32,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Samples are clamped to this floor so a wide `normal` can never emit a
 /// non-positive CPU speed, bandwidth, lifetime or arrival gap (profiles
@@ -46,7 +45,7 @@ pub const DIST_SAMPLE_FLOOR: f64 = 1e-6;
 /// every sample to [`DIST_SAMPLE_FLOOR`]. `LogNormal` is parameterized by
 /// the mean/std-dev of the *underlying normal* (`μ`, `σ`), the standard
 /// convention: its mean is `exp(μ + σ²/2)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DistributionConfig {
     /// Every sample is exactly `value`.
     Fixed {

@@ -17,14 +17,12 @@
 //! no randomness — so enabling them cannot perturb any seeded stream and
 //! every pinned determinism digest stays valid.
 
-use serde::{Deserialize, Serialize};
-
 /// A smooth day/night bandwidth cycle applied as a multiplicative scale on
 /// every link: `factor(t) = min + (1 − min)·(1 + cos(2πt/period))/2`.
 ///
 /// At `t = 0` the factor is exactly `1.0` (peak); at `t = period/2` it
 /// bottoms out at `min_factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalCycle {
     /// Full cycle length in simulated seconds.
     pub period_s: f64,
@@ -61,7 +59,7 @@ impl DiurnalCycle {
 /// from every other region for the first `outage_s` seconds, then heals.
 /// Links *within* a region stay up (the outage models a backbone cut, not a
 /// regional power loss).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionSchedule {
     /// Number of regions (at least 2).
     pub groups: usize,
@@ -116,7 +114,7 @@ impl PartitionSchedule {
 /// freeloaders that attract offloads they then execute slowly;
 /// `speed_factor < 1` models sandbagging. Execution always uses the true
 /// profile — only the scheduler's beliefs are poisoned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByzantineConfig {
     /// Fraction of the fleet that lies, in `[0, 1]`.
     pub fraction: f64,

@@ -1,6 +1,5 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The paper's CPU profile grid (§V-A): 4, 2, 1, 0.5 and 0.2 CPUs.
 pub const CPU_PROFILES: [f64; 5] = [4.0, 2.0, 1.0, 0.5, 0.2];
@@ -21,7 +20,7 @@ pub const LINK_PROFILES_MBPS: [f64; 4] = [10.0, 20.0, 50.0, 100.0];
 /// assert!(p.is_connected());
 /// assert!(!AgentProfile::disconnected(1.0).is_connected());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentProfile {
     /// CPU capacity in abstract "CPU units" (the paper's 0.2–4 grid).
     pub cpus: f64,

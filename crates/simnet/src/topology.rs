@@ -1,9 +1,8 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Network topology shapes evaluated in the paper (§V-B.5): full mesh, ring,
 /// and random graphs keeping a fraction `p` of all possible links.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Topology {
     /// Every pair of agents is connected.
     Full,
@@ -66,7 +65,7 @@ impl Topology {
 
 /// How an agent arriving into an elastic fleet wires itself into the
 /// overlay — the join-time counterpart of [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JoinTopology {
     /// The newcomer announces itself to everyone ([`Adjacency::grow`]):
     /// cheap and keeps an implicit full mesh implicit, but densifies sparse
@@ -108,7 +107,7 @@ impl JoinTopology {
 /// assert_eq!(adj.degree(0), 2);
 /// assert!(adj.connected(0, 1) && !adj.connected(0, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Adjacency {
     /// Every distinct pair of the `k` agents is linked.
     Full {

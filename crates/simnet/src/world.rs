@@ -1,7 +1,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::assign_profiles;
 use crate::{
@@ -499,7 +498,7 @@ impl Drop for AgentsMut<'_> {
 }
 
 /// Summary statistics of a world used in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldSummary {
     /// Number of agents.
     pub num_agents: usize,

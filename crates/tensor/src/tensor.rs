@@ -2,7 +2,6 @@ use std::fmt;
 
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::TensorError;
 
@@ -22,7 +21,7 @@ use crate::TensorError;
 /// assert_eq!(x.shape(), &[3, 4]);
 /// assert_eq!(x.len(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

@@ -6,7 +6,7 @@
 //! cargo run --example real_split_training
 //! ```
 
-use comdml::core::{RealFleetConfig, RealSplitFleet};
+use comdml::nn::{RealFleetConfig, RealSplitFleet};
 
 fn main() {
     let mut fleet = RealSplitFleet::new(RealFleetConfig {

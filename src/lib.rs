@@ -14,7 +14,8 @@
 //! The facade re-exports every sub-crate:
 //!
 //! * [`tensor`] — dense tensors and SGD.
-//! * [`nn`] — layers, losses, sequential models and local-loss split training.
+//! * [`nn`] — layers, losses, sequential models, local-loss split training
+//!   and `RealSplitFleet`, the ComDML protocol run with real gradients.
 //! * [`data`] — synthetic datasets and Dirichlet non-I.I.D. partitioning.
 //! * [`cost`] — analytic ResNet-56/110 cost models and split profiles.
 //! * [`simnet`] — heterogeneous agents, links, topologies, the
@@ -28,6 +29,7 @@
 //!   mid-round failure re-pairing, per-agent carry-over, coarse
 //!   closed-form event granularity for fleet scale, and `FleetSim` — the
 //!   one round loop — driving ComDML or any baseline over a churning fleet.
+//!   The simulator only: it depends on no training crate.
 //! * [`baselines`] — FedAvg, Gossip Learning, BrainTorrent, AllReduce DML —
 //!   all executing on the same shared simulated clock.
 //! * [`exp`] — declarative scenario specs (`ScenarioSpec`/`SweepSpec`) and

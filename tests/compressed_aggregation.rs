@@ -4,7 +4,7 @@
 //! still let the real fleet converge.
 
 use comdml::collective::{Int8Quantizer, TopKSparsifier};
-use comdml::core::{RealFleetConfig, RealSplitFleet};
+use comdml::nn::{RealFleetConfig, RealSplitFleet};
 
 #[test]
 fn int8_quantized_aggregation_preserves_accuracy() {

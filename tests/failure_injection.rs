@@ -122,7 +122,7 @@ fn run_survives_progressive_degradation() {
 
 #[test]
 fn empty_partitions_do_not_crash_real_training() {
-    use comdml::core::{RealFleetConfig, RealSplitFleet};
+    use comdml::nn::{RealFleetConfig, RealSplitFleet};
     // Extreme Dirichlet skew can hand an agent (almost) no samples.
     let mut fleet = RealSplitFleet::new(RealFleetConfig {
         iid: false,

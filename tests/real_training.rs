@@ -2,7 +2,7 @@
 //! aggregation and the privacy hooks, across nn, core, data, collective,
 //! tensor and privacy.
 
-use comdml::core::{RealFleetConfig, RealSplitFleet};
+use comdml::nn::{RealFleetConfig, RealSplitFleet};
 use comdml::privacy::{distance_correlation, LaplaceMechanism, PatchShuffler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
