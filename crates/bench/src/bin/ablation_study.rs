@@ -9,13 +9,13 @@
 //! 4. **AllReduce algorithm** — halving/doubling vs ring (§IV-B's choice).
 //! 5. **Quantized aggregation** — int8 model payloads (§IV-B's extension).
 
-use comdml_bench::fmt_s;
 use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml_core::{
-    simulate_round, ChurnPolicy, ComDml, ComDmlConfig, FleetSim, LearningCurve, PairingOrder,
-    PairingScheduler, RoundEngine, RoundPlan, TrainingTimeEstimator,
+    ChurnPolicy, ComDmlConfig, EventRound, FleetSim, LearningCurve, PairingOrder, PairingScheduler,
+    TrainingTimeEstimator,
 };
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
+use comdml_exp::fmt_s;
 use comdml_simnet::{AgentId, FleetConfig, WorldConfig};
 
 fn main() {
@@ -48,7 +48,9 @@ fn main() {
                 w.churn_profiles(0.3);
             }
             static_total +=
-                simulate_round(&w, &frozen, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                EventRound::new(&w, &frozen, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                    .run()
+                    .outcome
                     .round_s();
         }
         println!(
@@ -66,7 +68,9 @@ fn main() {
         let sched = PairingScheduler::new();
         let run = |order| {
             let pairings = sched.pair_with_order(&world, &ids, &est, order);
-            simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                .run()
+                .outcome
                 .round_s()
         };
         let slowest = run(PairingOrder::SlowestFirst);
@@ -79,21 +83,18 @@ fn main() {
 
     // 3. Split-candidate breadth.
     {
-        let world = WorldConfig::heterogeneous(10, 11).total_samples(50_000).build();
-        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
         for (name, candidates) in [
             ("all 56 splits", None),
             ("table-I grid (7)", Some(vec![1usize, 10, 19, 28, 37, 46, 55])),
             ("single split (28)", Some(vec![28usize])),
         ] {
-            let mut engine = ComDml::new(ComDmlConfig {
+            let config = ComDmlConfig {
                 candidate_offloads: candidates,
                 churn: None,
                 ..ComDmlConfig::default()
-            });
-            let total: f64 = (0..rounds)
-                .map(|r| engine.run_round(RoundPlan::new(r, &world, &ids)).progress.round_s)
-                .sum();
+            };
+            let fleet = FleetConfig::new(10, 11).samples_per_agent(5_000);
+            let total = FleetSim::new(fleet, config).run(rounds).total_sim_s;
             println!(
                 "3. candidates {:<18} mean round {:>6.1}s  total {:>8}s",
                 name,

@@ -7,7 +7,7 @@
 //! estimator picks the truly best split.
 
 use comdml_collective::AllReduceAlgorithm;
-use comdml_core::{simulate_round, Pairing, TrainingTimeEstimator};
+use comdml_core::{EventRound, Pairing, TrainingTimeEstimator};
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml_simnet::{
     Adjacency, AgentId, AgentProfile, AgentState, World, CPU_PROFILES, LINK_PROFILES_MBPS,
@@ -52,13 +52,15 @@ fn main() {
                         offload: m,
                         est_time_s: 0.0,
                     }];
-                    simulate_round(
+                    EventRound::new(
                         &world,
                         &pairings,
                         &est,
                         &cal,
                         AllReduceAlgorithm::HalvingDoubling,
                     )
+                    .run()
+                    .outcome
                     .compute_s
                 };
                 let simulated = simulate(d.offload);

@@ -9,6 +9,10 @@
 //! * the round executes as typed events on a shared clock, so the same code
 //!   path drives synchronous, semi-synchronous and asynchronous aggregation.
 //!
+//! Rounds run through the one harness loop, `FleetSim`, on a static fleet
+//! (no arrivals or departures), so stragglers' semi-sync/async spill
+//! carries into the next round exactly as in every other fleet run.
+//!
 //! Results land in `target/experiments/scalability_10k.csv`, with the
 //! machine-readable `target/experiments/BENCH_scalability.json` feeding the
 //! CI perf-regression gate (see `ci/bench-baselines/`).
@@ -17,12 +21,12 @@
 //! cargo run --release --bin scalability_10k
 //! ```
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use comdml_bench::{BenchEntry, BenchRecord, Report};
-use comdml_core::{AggregationMode, ComDml, ComDmlConfig, RoundEngine, RoundPlan};
-use comdml_simnet::{AgentId, WorldConfig};
+use comdml_bench::{BenchEntry, BenchRecord};
+use comdml_core::{AggregationMode, ComDmlConfig, FleetSim};
+use comdml_exp::Report;
+use comdml_simnet::FleetConfig;
 
 const AGENTS: usize = 10_000;
 const ROUNDS: usize = 100;
@@ -33,14 +37,11 @@ fn main() {
     comdml_obs::set_metrics_enabled(true);
     // 500 samples per agent keeps per-round work realistic (5 batches per
     // agent) without the dataset itself dominating setup time.
-    let world =
-        WorldConfig::heterogeneous(AGENTS, 42).total_samples(500 * AGENTS).batch_size(100).build();
-    let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+    let fleet = FleetConfig::new(AGENTS, 42).samples_per_agent(500).batch_size(100);
+    let world = fleet.clone().build().world().summary();
     println!(
         "world: {} agents, mean {:.2} CPUs, density {:.2}\n",
-        AGENTS,
-        world.summary().mean_cpus,
-        world.summary().density
+        AGENTS, world.mean_cpus, world.density
     );
 
     let mut report = Report::new(
@@ -54,32 +55,28 @@ fn main() {
         ("semi_sync_q80", AggregationMode::SemiSynchronous { quorum: 0.8, staleness_s: f64::MAX }),
         ("asynchronous", AggregationMode::Asynchronous),
     ] {
-        let mut engine = ComDml::new(ComDmlConfig {
-            churn: None,
-            aggregation: mode,
-            // Profiling every one of the 57 ResNet-56 cuts per candidate is
-            // pointless at fleet scale; six representative cuts keep the
-            // schedule quality while bounding estimator work.
-            candidate_offloads: Some(vec![8, 16, 24, 32, 40, 48]),
-            ..ComDmlConfig::default()
-        });
+        let mut sim = FleetSim::new(
+            fleet.clone(),
+            ComDmlConfig {
+                churn: None,
+                aggregation: mode,
+                // Profiling every one of the 57 ResNet-56 cuts per candidate is
+                // pointless at fleet scale; six representative cuts keep the
+                // schedule quality while bounding estimator work.
+                candidate_offloads: Some(vec![8, 16, 24, 32, 40, 48]),
+                ..ComDmlConfig::default()
+            },
+        );
         comdml_obs::metrics().reset();
         let start = Instant::now();
-        let mut sim_total = 0.0;
         let mut offloads = 0usize;
-        let mut events = 0u64;
-        // Stragglers' unfinished work carries into the next round.
-        let mut carry = HashMap::new();
-        for r in 0..ROUNDS {
-            let round =
-                engine.run_round(RoundPlan { ready_at: carry, ..RoundPlan::new(r, &world, &ids) });
-            carry = round.carry;
-            events += round.events_processed;
-            let outcome = &engine.last_report().expect("round just ran").outcome;
-            sim_total += outcome.round_s();
-            offloads += outcome.num_offloads;
+        for _ in 0..ROUNDS {
+            sim.step();
+            offloads += sim.engine().last_report().expect("round just ran").outcome.num_offloads;
         }
         let wall = start.elapsed().as_secs_f64();
+        let run = sim.report();
+        let (sim_total, events) = (run.total_sim_s, run.events_processed);
         let phases = comdml_obs::metrics().snapshot().phase_totals();
         println!(
             "{name:<14} {ROUNDS} rounds of {AGENTS} agents: sim {sim_total:>12.1}s, \

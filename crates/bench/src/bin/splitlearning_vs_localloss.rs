@@ -6,10 +6,10 @@
 //! across the paper's link grid.
 
 use comdml_baselines::{BaselineConfig, ClassicSplitLearning};
-use comdml_bench::fmt_s;
 use comdml_collective::AllReduceAlgorithm;
-use comdml_core::{simulate_round, Pairing, RoundEngine, RoundPlan, TrainingTimeEstimator};
+use comdml_core::{EventRound, Pairing, RoundEngine, RoundPlan, TrainingTimeEstimator};
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
+use comdml_exp::fmt_s;
 use comdml_simnet::{Adjacency, AgentId, AgentProfile, AgentState, World};
 
 fn main() {
@@ -47,7 +47,9 @@ fn main() {
         let pairings =
             vec![Pairing { slow: AgentId(0), fast: Some(AgentId(1)), offload, est_time_s: 0.0 }];
         let outcome =
-            simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                .run()
+                .outcome;
         let t_ll = outcome.compute_s;
 
         println!(

@@ -8,11 +8,16 @@
 //! idle time and total training time (seconds), each totalled over the
 //! rounds needed to reach the target accuracy.
 
-use comdml_bench::{fmt_s, row};
 use comdml_collective::AllReduceAlgorithm;
-use comdml_core::{simulate_round, LearningCurve, Pairing, TrainingTimeEstimator};
+use comdml_core::{EventRound, LearningCurve, Pairing, TrainingTimeEstimator};
 use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
+use comdml_exp::fmt_s;
 use comdml_simnet::{Adjacency, AgentId, AgentProfile, AgentState, World};
+
+/// One right-aligned table row.
+fn row(cells: &[String], widths: &[usize]) -> String {
+    cells.iter().zip(widths.iter()).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")
+}
 
 struct Setting {
     name: &'static str,
@@ -91,13 +96,15 @@ fn main() {
                     est_time_s: 0.0,
                 }]
             };
-            let outcome = simulate_round(
+            let outcome = EventRound::new(
                 &world,
                 &pairings,
                 &estimator,
                 &cal,
                 AllReduceAlgorithm::HalvingDoubling,
-            );
+            )
+            .run()
+            .outcome;
             let fast_train =
                 outcome.agent_stats.iter().find(|s| s.id == AgentId(1)).map_or(0.0, |s| s.train_s);
             let comm = outcome.total_comm_s();
@@ -125,8 +132,16 @@ fn main() {
                 Pairing { slow: AgentId(0), fast: None, offload: 0, est_time_s: 0.0 },
                 Pairing { slow: AgentId(1), fast: None, offload: 0, est_time_s: 0.0 },
             ];
-            simulate_round(&world, &pairings, &estimator, &cal, AllReduceAlgorithm::HalvingDoubling)
-                .round_s()
+            EventRound::new(
+                &world,
+                &pairings,
+                &estimator,
+                &cal,
+                AllReduceAlgorithm::HalvingDoubling,
+            )
+            .run()
+            .outcome
+            .round_s()
         };
         println!(
             "  -> optimum at {} layers: {:.0}% reduction vs no offloading\n",

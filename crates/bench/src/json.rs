@@ -9,10 +9,9 @@
 //! the `comdml-obs` phase spans that produced it, so `bench_gate` can say
 //! *which phase* regressed rather than just that the binary did.
 //!
-//! The generic JSON value model this format parses with — [`Value`] — now
+//! The generic JSON value model this format parses with — [`Value`] —
 //! lives in [`comdml_obs::json`] (the bottom of the dependency graph, so
-//! the trace sink can share the same exact-float writer); it is
-//! re-exported here, so `comdml_bench::Value` remains a valid path.
+//! the trace sink can share the same exact-float writer).
 //!
 //! # Example
 //!
@@ -37,7 +36,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use comdml_obs::Value;
+use comdml_obs::Value;
 
 /// One measured configuration (typically an aggregation mode).
 #[derive(Debug, Clone, PartialEq)]

@@ -20,8 +20,8 @@
 //!   zero — `ready_at` offsets let semi-sync/async schedules pipeline one
 //!   round into the next.
 //!
-//! The synchronous wrapper [`crate::simulate_round`] now runs on this
-//! engine and reproduces the legacy closed-form timings to within 1e-9
+//! With its defaults (synchronous barrier, no carry-over, no disruptions)
+//! the engine reproduces the legacy closed-form timings to within 1e-9
 //! (covered by `tests/event_engine.rs`).
 //!
 //! # Example: asynchronous aggregation

@@ -44,8 +44,8 @@ use crate::LearningCurve;
 /// fraction of agents contributes per round, the global model sees
 /// proportionally less data, shrinking per-round progress — sub-linearly,
 /// because overlapping updates still transfer. This is the single source
-/// of truth for the exponent (`comdml_bench::rounds_with_sampling` and
-/// [`LearningModel`] both use it).
+/// of truth for the exponent ([`LearningModel`] applies it per round, and
+/// `comdml-exp`'s closed-form equivalence test applies it to rounds).
 pub fn sampling_penalty(rate: f64) -> f64 {
     rate.clamp(0.01, 1.0).powf(0.35)
 }

@@ -12,9 +12,10 @@
 //! 3. **Decentralized pairing** ([`PairingScheduler`]) — agents pair
 //!    greedily in descending order of solo training time, each slow agent
 //!    choosing the partner and split that minimize its estimated time.
-//! 4. **Round execution** ([`simulate_round`], [`EventRound`]) — a
-//!    per-batch pipeline simulation of paired local-loss split training,
+//! 4. **Round execution** ([`EventRound`]) — the one round entry point:
+//!    a per-batch pipeline simulation of paired local-loss split training,
 //!    plus AllReduce aggregation cost, on a discrete-event clock.
+//!    `EventRound::new(..).run().outcome` is the synchronous round.
 //! 5. **Multi-round runs** ([`FleetSim`]) — the one round loop. It owns
 //!    membership, profile churn, participation sampling and the clock, and
 //!    drives [`ComDml`] or any baseline through the [`RoundEngine`] trait,
@@ -47,7 +48,6 @@ mod event_round;
 mod fleet;
 mod learning_curve;
 mod learning_model;
-mod multi;
 mod round;
 mod scheduler;
 
@@ -62,6 +62,5 @@ pub use event_round::{
 pub use fleet::{FleetReport, FleetRoundSummary, FleetSim};
 pub use learning_curve::{staleness_weight, LearningCurve};
 pub use learning_model::{sampling_penalty, LearningModel, RoundProgress};
-pub use multi::{helper_completion_s, pair_with_capacity, MultiPairing};
-pub use round::{simulate_round, AgentRoundStats, PairRoundSim, RoundOutcome};
+pub use round::{AgentRoundStats, PairRoundSim, RoundOutcome};
 pub use scheduler::{Pairing, PairingOrder, PairingScheduler};

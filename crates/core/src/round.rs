@@ -1,8 +1,4 @@
-use comdml_collective::AllReduceAlgorithm;
-use comdml_cost::CostCalibration;
-use comdml_simnet::{AgentId, World};
-
-use crate::{Pairing, TrainingTimeEstimator};
+use comdml_simnet::AgentId;
 
 /// Per-batch pipeline simulation of one paired round (Fig. 1's anatomy).
 ///
@@ -206,35 +202,13 @@ impl RoundOutcome {
     }
 }
 
-/// Simulates one full round: every pairing's pipeline, synchronization on
-/// the slowest, and the AllReduce aggregation (§IV-B).
-///
-/// Agents with a dead link are excluded from aggregation (they "train
-/// independently", §V-B.5) but still contribute compute time.
-///
-/// This is a thin synchronous wrapper over the discrete-event engine
-/// ([`crate::EventRound`]): the per-pair pipelines run as `BatchProduced` /
-/// `TransferComplete` / `SuffixReturn` events on a shared clock, and the
-/// result matches the historical closed-form implementation to within 1e-9.
-/// Callers needing semi-synchronous or asynchronous aggregation, failure
-/// injection, or per-agent carry-over should use [`crate::EventRound`]
-/// directly.
-pub fn simulate_round(
-    world: &World,
-    pairings: &[Pairing],
-    estimator: &TrainingTimeEstimator<'_>,
-    cal: &CostCalibration,
-    algorithm: AllReduceAlgorithm,
-) -> RoundOutcome {
-    crate::EventRound::new(world, pairings, estimator, cal, algorithm).run().outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PairingScheduler;
-    use comdml_cost::{ModelSpec, SplitProfile};
-    use comdml_simnet::{Adjacency, AgentProfile, AgentState, WorldConfig};
+    use crate::{EventRound, PairingScheduler, TrainingTimeEstimator};
+    use comdml_collective::AllReduceAlgorithm;
+    use comdml_cost::{CostCalibration, ModelSpec, SplitProfile};
+    use comdml_simnet::{Adjacency, AgentProfile, AgentState, World, WorldConfig};
 
     fn fixtures() -> (ModelSpec, SplitProfile, CostCalibration) {
         let spec = ModelSpec::resnet56();
@@ -374,7 +348,9 @@ mod tests {
         let world = World::from_parts(agents, adj, 0);
         let pairings = PairingScheduler::new().pair(&world, &[AgentId(0), AgentId(1)], &est);
         let outcome =
-            simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                .run()
+                .outcome;
         // Without balancing, the 0.25-CPU agent would run the full epoch.
         let solo_straggler = est.solo_time_s(world.agent(AgentId(0)));
         assert!(
@@ -394,7 +370,9 @@ mod tests {
         let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
         let pairings = PairingScheduler::new().pair(&world, &ids, &est);
         let outcome =
-            simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                .run()
+                .outcome;
         assert_eq!(outcome.agent_stats.len(), 10);
         for s in &outcome.agent_stats {
             assert!(s.finish_s <= outcome.compute_s + 1e-9);
@@ -410,7 +388,9 @@ mod tests {
         let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
         let pairings = PairingScheduler::new().pair(&world, &ids, &est);
         let outcome =
-            simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                .run()
+                .outcome;
         let text = outcome.render_timeline(40);
         assert_eq!(text.lines().count(), 7, "6 bars + legend:\n{text}");
         assert!(text.contains('#'), "some compute must appear");
@@ -427,7 +407,8 @@ mod tests {
         let adj = Adjacency::from_matrix(vec![vec![false, true], vec![true, false]]);
         let world = World::from_parts(agents, adj, 0);
         let pairings = PairingScheduler::new().pair(&world, &[AgentId(0), AgentId(1)], &est);
-        let outcome = simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::Ring);
+        let outcome =
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::Ring).run().outcome;
         assert_eq!(outcome.num_offloads, 0);
         assert!(outcome.agent_stats.iter().all(|s| s.comm_s == 0.0));
     }

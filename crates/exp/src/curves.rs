@@ -36,10 +36,10 @@
 
 use std::path::{Path, PathBuf};
 
-use comdml_bench::{Report, Value};
+use comdml_obs::Value;
 
 use crate::report::{curve_summary, percentile, scenario_grid};
-use crate::{JobResult, Method, SweepReport};
+use crate::{JobResult, Method, Report, SweepReport};
 
 /// One round of a cell's aggregated accuracy band.
 #[derive(Debug, Clone, PartialEq)]

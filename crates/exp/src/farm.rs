@@ -31,7 +31,7 @@
 //! Jobs are pure functions of `(scenario, method, seed)`; determinism
 //! needs no coordination beyond putting each row in its pre-assigned slot.
 //! Specs and rows cross the wire as their canonical JSON text —
-//! [`comdml_bench::Value`] renders floats in shortest round-trip form, so
+//! [`comdml_obs::Value`] renders floats in shortest round-trip form, so
 //! `parse ∘ render` is the identity and the text *is* the value.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -41,9 +41,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use comdml_bench::Value;
 use comdml_net::{serve, FramedStream, Message, ServerHandle, WorkerRow, PROTOCOL_VERSION};
 use comdml_obs::Histogram;
+use comdml_obs::Value;
 
 use crate::{JobResult, JobSource, JobSpec, SweepReport, SweepRunner, SweepSpec};
 

@@ -65,7 +65,38 @@ mod spec;
 
 pub use curves::{CurveAggregate, CurvePoint};
 pub use farm::{run_worker, Coordinator, FarmConfig, FarmStatus, WorkerOptions, WorkerSummary};
-pub use report::{SweepCell, SweepReport};
+pub use report::{Report, SweepCell, SweepReport};
 pub use runner::{run_job, JobResult, JobSource, JobSpec, SweepRunner};
 pub use shard::{merge, PartialReport, Shard};
 pub use spec::{Method, MethodParams, ScenarioSpec, SeedRange, SweepSpec};
+
+/// Formats seconds rounded to whole numbers with thousands separators,
+/// matching the paper tables' style (`-1,234` for negatives).
+pub fn fmt_s(v: f64) -> String {
+    let n = v.round() as i64;
+    let digits = n.unsigned_abs().to_string();
+    let mut out = String::new();
+    if n < 0 {
+        out.push('-');
+    }
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fmt_s_inserts_separators() {
+        assert_eq!(fmt_s(1234567.2), "1,234,567");
+        assert_eq!(fmt_s(999.4), "999");
+        assert_eq!(fmt_s(-999.0), "-999");
+        assert_eq!(fmt_s(-123456.0), "-123,456");
+    }
+}

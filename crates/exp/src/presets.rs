@@ -1,5 +1,5 @@
-//! Named sweep presets: the paper's Table II/III grids, the extended
-//! nine-method comparison, the round-driven convergence showcase, the
+//! Named sweep presets: the paper's Table II/III grids, its Fig. 3
+//! sparse-topology comparison, the extended nine-method comparison, the round-driven convergence showcase, the
 //! CI smoke sweep, and the hostile-world conditions (`@diurnal`,
 //! `@partition`, `@byzantine`), as programmatic [`SweepSpec`] builders.
 //! `exp_sweep` can also read them by name (`@table2`, `@smoke`, …)
@@ -80,6 +80,31 @@ pub fn table3(seeds: usize) -> SweepSpec {
             .aggregation(AggregationMode::SemiSynchronous { quorum: 0.8, staleness_s: f64::MAX })
             .rounds(30),
     )
+}
+
+/// Fig. 3: time to target accuracy when only 20% of links exist — 50
+/// agents on an Erdős–Rényi graph with `p = 0.2`, on the three I.I.D.
+/// dataset cells of Table II, × the five Table II methods. Gossip mixes
+/// through the sparse graph's measured density; ComDML pairs only over
+/// existing links.
+pub fn fig3(seeds: usize) -> SweepSpec {
+    let cell = |name: &str, dataset: &str, target: f64, samples_per_agent: usize| {
+        let mut s = ScenarioSpec::new(name)
+            .agents(50)
+            .topology(Topology::Random { p: 0.2 })
+            .dataset(dataset, true)
+            .target(target)
+            .rounds(30);
+        s.samples_per_agent = samples_per_agent; // the training set over 50 agents
+        s
+    };
+    let mut spec = SweepSpec::new("fig3").seeds(1, seeds);
+    for m in paper_methods() {
+        spec = spec.method(m);
+    }
+    spec.scenario(cell("c10_iid", "cifar10", 0.90, 1_000))
+        .scenario(cell("c100_iid", "cifar100", 0.65, 1_000))
+        .scenario(cell("cinic_iid", "cinic10", 0.75, 1_800))
 }
 
 /// Extended comparison beyond Table II: ComDML against *all eight*
@@ -232,9 +257,10 @@ pub fn byzantine(seeds: usize) -> SweepSpec {
 
 /// The preset catalog: every name [`by_name`] accepts, with a one-line
 /// description (the `--list-presets` output).
-pub const CATALOG: [(&str, &str); 8] = [
+pub const CATALOG: [(&str, &str); 9] = [
     ("table2", "paper Table II: time-to-target, 6 dataset cells x 5 methods"),
     ("table3", "paper Table III stress grid: sampling, churn, sparse topology, dropouts"),
+    ("fig3", "paper Fig. 3: 50 agents on a 20%-connected random graph, 3 IID cells x 5 methods"),
     ("extended", "ComDML vs all 8 baselines on IID CIFAR-10 to 90%"),
     ("convergence", "round-driven accuracy-trajectory showcase"),
     ("smoke", "tiny CI sweep: one churny scenario, 3 methods, 2 seeds"),
@@ -252,6 +278,7 @@ pub fn by_name(name: &str, seeds: usize) -> Result<SweepSpec, String> {
     match name {
         "table2" => Ok(table2(seeds)),
         "table3" => Ok(table3(seeds)),
+        "fig3" => Ok(fig3(seeds)),
         "extended" => Ok(extended(seeds)),
         "convergence" => Ok(convergence(seeds)),
         "smoke" => Ok(smoke()),
@@ -274,6 +301,7 @@ mod tests {
         for spec in [
             table2(5),
             table3(5),
+            fig3(2),
             extended(3),
             convergence(3),
             smoke(),
@@ -305,6 +333,25 @@ mod tests {
         assert!(diurnal(2).scenarios.iter().any(|s| s.cpu_dist.is_some() && s.link_dist.is_some()));
         assert!(partition(2).scenarios.iter().any(|s| s.lifetime_dist.is_some()));
         assert!(byzantine(2).scenarios.iter().any(|s| s.cpu_dist.is_some()));
+    }
+
+    #[test]
+    fn fig3_is_the_sparse_fifty_agent_iid_grid() {
+        let spec = fig3(1);
+        assert_eq!(spec.methods, paper_methods());
+        let mut names: Vec<&str> = spec.methods.iter().map(|m| m.display()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 5, "five distinct Table II methods");
+        assert_eq!(spec.scenarios.len(), 3);
+        for s in &spec.scenarios {
+            assert!(s.iid, "{}: Fig. 3 is I.I.D. only", s.name);
+            assert_eq!(s.agents, 50);
+            assert_eq!(s.topology, Topology::Random { p: 0.2 });
+        }
+        let cells: Vec<(&str, usize)> =
+            spec.scenarios.iter().map(|s| (s.dataset.as_str(), s.samples_per_agent)).collect();
+        assert_eq!(cells, [("cifar10", 1_000), ("cifar100", 1_000), ("cinic10", 1_800)]);
     }
 
     #[test]

@@ -1,11 +1,108 @@
 //! Sweep aggregation: per-cell statistics, paper-style tables, and the
-//! deterministic `BENCH_sweep_*.json` / CSV artifacts.
+//! deterministic `BENCH_sweep_*.json` / CSV artifacts — plus [`Report`],
+//! the CSV writer every sweep and bench artifact goes through.
 
+use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use comdml_bench::{Report, Value};
+use comdml_obs::Value;
 
-use crate::{JobResult, Method, SweepSpec};
+use crate::{fmt_s, JobResult, Method, SweepSpec};
+
+/// Accumulates experiment rows and writes a CSV under
+/// `target/experiments/<name>.csv`.
+///
+/// # Example
+///
+/// ```
+/// use comdml_exp::Report;
+///
+/// let mut report = Report::new("doc_example", &["method", "seconds"]);
+/// report.row(&["ComDML".into(), "4342".into()]);
+/// let path = report.write_to(std::env::temp_dir()).unwrap();
+/// assert!(path.ends_with("doc_example.csv"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Report {
+    name: String,
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Report {
+    /// Starts a report with a name (file stem) and column header.
+    pub fn new(name: &str, header: &[&str]) -> Self {
+        Self {
+            name: name.to_string(),
+            header: header.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row width differs from the header.
+    pub fn row(&mut self, cells: &[String]) {
+        assert_eq!(cells.len(), self.header.len(), "row width must match header");
+        self.rows.push(cells.to_vec());
+    }
+
+    /// Number of accumulated rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the report holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Renders the CSV content.
+    pub fn to_csv(&self) -> String {
+        let escape = |cell: &str| {
+            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.to_string()
+            }
+        };
+        let mut out = String::new();
+        out.push_str(&self.header.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Writes `<dir>/<name>.csv`, creating the directory if needed, and
+    /// returns the path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_to(&self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.csv", self.name));
+        let mut f = fs::File::create(&path)?;
+        f.write_all(self.to_csv().as_bytes())?;
+        Ok(path)
+    }
+
+    /// Writes to the workspace's default location, `target/experiments/`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_default(&self) -> std::io::Result<PathBuf> {
+        self.write_to(Path::new("target").join("experiments"))
+    }
+}
 
 /// Statistics of one (scenario, method) cell over the sweep's seeds. Time
 /// quantities are *simulated* seconds, so every field is deterministic and
@@ -260,9 +357,9 @@ impl SweepReport {
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: impl AsRef<Path>) -> std::io::Result<(PathBuf, PathBuf)> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
+        fs::create_dir_all(dir)?;
         let json_path = dir.join(format!("BENCH_sweep_{}.json", self.name));
-        std::fs::write(&json_path, self.to_value().render())?;
+        fs::write(&json_path, self.to_value().render())?;
         let csv_path = self.to_csv().write_to(dir)?;
         Ok((json_path, csv_path))
     }
@@ -280,7 +377,6 @@ impl SweepReport {
     /// method, time-to-target with spread and the speedup-vs-FedAvg column.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        let fmt = |v: f64| comdml_bench::fmt_s(v);
         for scenario in &self.scenarios {
             out.push_str(&format!("── {scenario} ──\n"));
             out.push_str(&format!(
@@ -299,9 +395,9 @@ impl SweepReport {
                 out.push_str(&format!(
                     "{:<16} {:>12} {:>12} {:>12} {:>8.0} {:>8.0} {:>7} {:>9} {:>10}\n",
                     c.method.display(),
-                    fmt(c.mean_time_s),
-                    fmt(c.p50_time_s),
-                    fmt(c.p95_time_s),
+                    fmt_s(c.mean_time_s),
+                    fmt_s(c.p50_time_s),
+                    fmt_s(c.p95_time_s),
                     c.mean_rounds_to_target,
                     c.rounds_to_target_p50,
                     format!("{:.0}%", c.extrapolated_frac * 100.0),
@@ -312,5 +408,43 @@ impl SweepReport {
             out.push('\n');
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn csv_round_trips_simple_rows() {
+        let mut r = Report::new("t", &["a", "b"]);
+        r.row(&["1".into(), "2".into()]);
+        r.row(&["3".into(), "4".into()]);
+        assert_eq!(r.to_csv(), "a,b\n1,2\n3,4\n");
+        assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn csv_escapes_commas_and_quotes() {
+        let mut r = Report::new("t", &["x"]);
+        r.row(&["hello, \"world\"".into()]);
+        assert_eq!(r.to_csv(), "x\n\"hello, \"\"world\"\"\"\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn row_width_is_enforced() {
+        let mut r = Report::new("t", &["a", "b"]);
+        r.row(&["only-one".into()]);
+    }
+
+    #[test]
+    fn writes_to_disk() {
+        let mut r = Report::new("unit_test_report", &["k", "v"]);
+        r.row(&["x".into(), "1".into()]);
+        let dir = std::env::temp_dir().join("comdml_report_test");
+        let path = r.write_to(&dir).unwrap();
+        let content = std::fs::read_to_string(path).unwrap();
+        assert!(content.starts_with("k,v\n"));
     }
 }

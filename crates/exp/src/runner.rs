@@ -36,8 +36,8 @@ use comdml_baselines::{
     AllReduceDml, BaselineConfig, BrainTorrent, ClassicSplitLearning, DropStragglers, FedAvg,
     FedProx, GossipLearning, TierBased,
 };
-use comdml_bench::Value;
 use comdml_core::{ComDmlConfig, FleetSim, LearningModel, RoundEngine, RoundProgress};
+use comdml_obs::Value;
 use comdml_simnet::FleetConfig;
 
 use crate::{Method, MethodParams, ScenarioSpec, SweepReport, SweepSpec};

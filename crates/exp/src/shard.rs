@@ -8,7 +8,7 @@
 //! modulo `n` (round-robin, so expensive scenarios spread evenly), runs
 //! them on the ordinary worker pool, and writes a [`PartialReport`]:
 //! the full spec plus the owned `(index, job)` rows, as JSON on the
-//! [`comdml_bench::Value`] model.
+//! [`comdml_obs::Value`] model.
 //!
 //! [`merge`] takes one partial per shard, verifies the specs and the
 //! partition are consistent and complete, scatters the rows back into
@@ -21,7 +21,7 @@
 
 use std::path::{Path, PathBuf};
 
-use comdml_bench::Value;
+use comdml_obs::Value;
 
 use crate::{JobResult, SweepReport, SweepRunner, SweepSpec};
 

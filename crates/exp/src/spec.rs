@@ -8,7 +8,7 @@
 //! a seed range, exactly the shape of the paper's Tables II/III.
 //!
 //! Specs are plain JSON (parsed with the dependency-free
-//! [`comdml_bench::Value`] model) with builder-style programmatic
+//! [`comdml_obs::Value`] model) with builder-style programmatic
 //! construction, and `parse` ∘ `render` round-trips exactly — the property
 //! tests in `tests/sweep.rs` hold this for arbitrary specs.
 //!
@@ -48,8 +48,8 @@
 //! `churn_dip` charges effective rounds for mid-round departures. Jobs stop
 //! the round the trajectory reaches `target_accuracy`.
 
-use comdml_bench::Value;
 use comdml_core::{AggregationMode, ChurnPolicy, EventGranularity, LearningCurve};
+use comdml_obs::Value;
 use comdml_simnet::{
     ArrivalProcess, ByzantineConfig, DistributionConfig, DiurnalCycle, JoinTopology,
     PartitionSchedule, SessionLifetime, Topology,

@@ -17,11 +17,26 @@ use comdml_baselines::{
     AllReduceDml, BaselineConfig, BrainTorrent, ClassicSplitLearning, DropStragglers, FedAvg,
     FedProx, GossipLearning, TierBased,
 };
-use comdml_bench::rounds_with_sampling;
-use comdml_core::{AggregationMode, ChurnPolicy, FleetSim, RoundEngine};
+use comdml_core::{AggregationMode, ChurnPolicy, FleetSim, LearningCurve, RoundEngine};
 use comdml_exp::{run_job, Method, MethodParams, ScenarioSpec};
 use comdml_simnet::{ArrivalProcess, SessionLifetime};
 use proptest::prelude::*;
+
+/// Rounds-to-target with the participation-sampling penalty: when only a
+/// `sampling_rate` fraction of agents contributes per round, the global
+/// model sees proportionally less data, inflating the round count
+/// (sub-linearly — overlapping updates still transfer). The penalty is
+/// [`comdml_core::sampling_penalty`], the same factor the round-driven
+/// [`comdml_core::LearningModel`] applies per round — which is exactly why
+/// the two agree under constant efficiency.
+fn rounds_with_sampling(
+    curve: &LearningCurve,
+    target: f64,
+    engine_factor: f64,
+    sampling_rate: f64,
+) -> usize {
+    curve.rounds_to(target, engine_factor * comdml_core::sampling_penalty(sampling_rate))
+}
 
 /// The pre-round-driven `baseline_engine`, with its fixed constants
 /// resolved from the scenario's (default) method params.
@@ -74,6 +89,14 @@ fn old_projection(scenario: &ScenarioSpec, method: Method, seed: u64) -> (f64, u
         scenario.sampling_rate,
     );
     (mean_round_s * rounds_to_target as f64, rounds_to_target)
+}
+
+#[test]
+fn sampling_penalty_inflates_rounds() {
+    let curve = LearningCurve::cifar10(true);
+    let full = rounds_with_sampling(&curve, 0.80, 1.0, 1.0);
+    let sampled = rounds_with_sampling(&curve, 0.80, 1.0, 0.2);
+    assert!(sampled > full);
 }
 
 /// The equivalence regime: static fleet, full participation, no churn,

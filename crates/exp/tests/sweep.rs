@@ -255,3 +255,20 @@ fn sampling_rate_thins_sweep_rounds() {
     assert!(sampled_job.events_processed < full_job.events_processed);
     assert!(sampled_job.rounds_to_target > full_job.rounds_to_target);
 }
+
+#[test]
+fn fig3_comdml_is_fastest_on_every_sparse_cell() {
+    // Fig. 3's claim: with only 20% of links present, ComDML still reaches
+    // the target first on every I.I.D. dataset.
+    let spec = presets::fig3(1);
+    let report = SweepRunner::new().progress(false).run(&spec).unwrap();
+    for scenario in &report.scenarios {
+        let rows: Vec<_> = report.jobs.iter().filter(|j| &j.scenario == scenario).collect();
+        assert_eq!(rows.len(), spec.methods.len());
+        let fastest = rows
+            .iter()
+            .min_by(|a, b| a.time_to_target_s.total_cmp(&b.time_to_target_s))
+            .expect("five methods ran");
+        assert_eq!(fastest.method, Method::ComDml, "{scenario}: {rows:?}");
+    }
+}

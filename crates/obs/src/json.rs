@@ -10,9 +10,8 @@
 //! byte-identical to a single-process run.
 //!
 //! This model lives in `comdml-obs` (the bottom of the dependency graph)
-//! so every crate — including the trace sink below the bench layer — can
-//! share one writer; `comdml-bench` re-exports it, so
-//! `comdml_bench::Value` remains a valid path.
+//! so every crate — including the trace sink below the sweep and bench
+//! layers — can share one writer.
 
 /// A JSON document: the dependency-free value model behind the scenario
 /// spec files. Objects preserve insertion order, so `parse` → `render` is

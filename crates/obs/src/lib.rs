@@ -32,8 +32,7 @@
 //!
 //! This crate sits at the bottom of the workspace dependency graph and
 //! depends on nothing, so any crate may instrument freely. It also owns
-//! the workspace's dependency-free JSON [`Value`] model (re-exported by
-//! `comdml-bench` for compatibility).
+//! the workspace's dependency-free JSON [`Value`] model.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 //! ```
 
 use comdml::collective::AllReduceAlgorithm;
-use comdml::core::{simulate_round, Pairing, TrainingTimeEstimator};
+use comdml::core::{EventRound, Pairing, TrainingTimeEstimator};
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml::simnet::{Adjacency, AgentId, AgentProfile, AgentState, World};
 
@@ -46,14 +46,18 @@ fn main() {
         Pairing { slow: AgentId(0), fast: None, offload: 0, est_time_s: 0.0 },
         Pairing { slow: AgentId(1), fast: None, offload: 0, est_time_s: 0.0 },
     ];
-    let before = simulate_round(&world, &solo, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+    let before = EventRound::new(&world, &solo, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+        .run()
+        .outcome;
     print_outcome("WITHOUT workload balancing:", &before, &world);
 
     // With balancing: the scheduler picks the split.
     let ids = [AgentId(0), AgentId(1)];
     let pairings = comdml::core::PairingScheduler::new().pair(&world, &ids, &est);
     let offload = pairings.iter().find_map(|p| p.fast.map(|_| p.offload)).unwrap_or(0);
-    let after = simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+    let after = EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+        .run()
+        .outcome;
     print_outcome(
         &format!("WITH workload balancing (offloading {offload} layers):"),
         &after,

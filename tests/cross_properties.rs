@@ -1,7 +1,7 @@
 //! Cross-crate property tests: scheduler/round invariants on randomly
 //! generated worlds.
 
-use comdml::core::{simulate_round, PairingScheduler, TrainingTimeEstimator};
+use comdml::core::{EventRound, PairingScheduler, TrainingTimeEstimator};
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml::simnet::{AgentId, Topology, WorldConfig};
 use proptest::prelude::*;
@@ -79,13 +79,13 @@ proptest! {
         let world = WorldConfig::heterogeneous(k, seed).build();
         let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
         let pairings = PairingScheduler::new().pair(&world, &ids, &est);
-        let outcome = simulate_round(
+        let outcome = EventRound::new(
             &world,
             &pairings,
             &est,
             &cal,
             comdml::collective::AllReduceAlgorithm::HalvingDoubling,
-        );
+        ).run().outcome;
         prop_assert_eq!(outcome.agent_stats.len(), k);
         for s in &outcome.agent_stats {
             prop_assert!(s.train_s >= 0.0 && s.train_s.is_finite());

@@ -1,14 +1,14 @@
 //! Integration tests of the discrete-event round engine: determinism,
-//! exact equivalence of the synchronous wrapper with the legacy closed-form
-//! simulation, failure-driven re-pairing, and the three aggregation modes
+//! exact equivalence of the default synchronous round with the legacy
+//! closed-form simulation, failure-driven re-pairing, and the three aggregation modes
 //! selectable from `ComDmlConfig`.
 
 use std::collections::HashMap;
 
 use comdml::collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml::core::{
-    simulate_round, AggregationMode, ComDml, ComDmlConfig, Disruption, EventRound, PairRoundSim,
-    Pairing, PairingScheduler, RoundEngine, RoundOutcome, RoundPlan, TrainingTimeEstimator,
+    AggregationMode, ComDml, ComDmlConfig, Disruption, EventRound, PairRoundSim, Pairing,
+    PairingScheduler, RoundEngine, RoundOutcome, RoundPlan, TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml::simnet::{Adjacency, AgentId, AgentProfile, AgentState, World, WorldConfig};
@@ -105,7 +105,9 @@ fn synchronous_wrapper_matches_closed_form_within_1e9() {
         let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
         let pairings = PairingScheduler::new().pair(&world, &ids, &est);
         let outcome =
-            simulate_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
+            EventRound::new(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling)
+                .run()
+                .outcome;
         let (ref_stats, ref_compute, ref_allreduce) =
             closed_form_round(&world, &pairings, &est, &cal, AllReduceAlgorithm::HalvingDoubling);
 
