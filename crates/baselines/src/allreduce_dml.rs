@@ -2,6 +2,7 @@ use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// Decentralized AllReduce DML \[34\]: agents train the full model
@@ -22,12 +23,6 @@ impl AllReduceDml {
         Self { cfg, algorithm: AllReduceAlgorithm::HalvingDoubling }
     }
 
-    /// Selects the aggregation algorithm (ring vs halving/doubling).
-    pub fn with_algorithm(mut self, algorithm: AllReduceAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
     /// Barrier time of one round over `participants`.
     fn price(&self, world: &World, participants: &[AgentId]) -> f64 {
         if participants.is_empty() {
@@ -44,7 +39,7 @@ impl AllReduceDml {
             self.cfg.calibration.bytes_per_s(min_link),
             self.cfg.calibration.link_latency_s,
         );
-        comdml_core::barrier_round_s(&times, agg)
+        barrier_s(&times, agg)
     }
 }
 
@@ -66,18 +61,6 @@ mod tests {
     use super::*;
     use crate::common::tests::round_s;
     use comdml_simnet::WorldConfig;
-
-    #[test]
-    fn ring_and_hd_differ_only_in_steps() {
-        let world = WorldConfig::heterogeneous(16, 1).build();
-        let mut hd = AllReduceDml::new(BaselineConfig::default());
-        let mut ring =
-            AllReduceDml::new(BaselineConfig::default()).with_algorithm(AllReduceAlgorithm::Ring);
-        let t_hd = round_s(&mut hd, &world, 0);
-        let t_ring = round_s(&mut ring, &world, 0);
-        // Same bytes, ring has more latency-bound steps.
-        assert!(t_ring >= t_hd);
-    }
 
     #[test]
     fn progress_reports_the_full_cohort_at_full_efficiency() {

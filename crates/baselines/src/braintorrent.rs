@@ -3,6 +3,7 @@ use comdml_simnet::{AgentId, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// BrainTorrent \[10\]: a peer-to-peer framework where agents take turns
@@ -35,13 +36,13 @@ impl BrainTorrent {
     fn price(&mut self, world: &World, participants: &[AgentId]) -> f64 {
         let times = self.cfg.per_agent_times(world, participants);
         if participants.len() < 2 {
-            return comdml_core::barrier_round_s(&times, 0.0);
+            return barrier_s(&times, 0.0);
         }
         let aggregator = participants[self.rng.gen_range(0..participants.len())];
         let agg_link = world.agent(aggregator).profile.link_mbps;
         let b = self.cfg.model.model_bytes() as u64;
         let bytes = 2 * (participants.len() as u64 - 1) * b;
-        comdml_core::barrier_round_s(&times, self.cfg.calibration.transfer_time_s(bytes, agg_link))
+        barrier_s(&times, self.cfg.calibration.transfer_time_s(bytes, agg_link))
     }
 }
 

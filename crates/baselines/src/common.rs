@@ -35,17 +35,16 @@ impl BaselineConfig {
             )
     }
 
-    /// Per-participant full-model epoch times, the input every synchronized
-    /// baseline feeds to the shared event clock.
-    pub fn per_agent_times(&self, world: &World, participants: &[AgentId]) -> Vec<(AgentId, f64)> {
-        participants.iter().map(|&id| (id, self.solo_time_s(world.agent(id)))).collect()
+    /// Per-participant full-model epoch times, in participant order: the
+    /// task times a synchronized baseline's barrier waits on.
+    pub fn per_agent_times(&self, world: &World, participants: &[AgentId]) -> Vec<f64> {
+        participants.iter().map(|&id| self.solo_time_s(world.agent(id))).collect()
     }
 
     /// The compute phase of a synchronized round: the slowest participant's
-    /// full local epoch, executed as `AgentDone` events on the shared
-    /// simulated clock ([`comdml_core::barrier_round_s`]).
+    /// full local epoch.
     pub fn straggler_compute_s(&self, world: &World, participants: &[AgentId]) -> f64 {
-        comdml_core::barrier_round_s(&self.per_agent_times(world, participants), 0.0)
+        barrier_s(&self.per_agent_times(world, participants), 0.0)
     }
 
     /// The slowest participant link in Mbps (0 if anyone is disconnected).
@@ -54,6 +53,16 @@ impl BaselineConfig {
             .iter()
             .map(|&id| world.agent(id).profile.link_mbps)
             .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// A synchronized round's simulated seconds: the slowest task time plus
+/// `aggregation_s`, or 0 with no participants. No agent trains or talks
+/// during another's barrier wait, so the round needs no event clock.
+pub(crate) fn barrier_s(task_times: &[f64], aggregation_s: f64) -> f64 {
+    match task_times.iter().copied().reduce(f64::max) {
+        Some(slowest) => slowest + aggregation_s,
+        None => 0.0,
     }
 }
 

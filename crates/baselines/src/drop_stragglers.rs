@@ -1,6 +1,7 @@
 use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::AgentId;
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// Straggler dropping (\[26\] Bonawitz et al., discussed in §II-B): each round
@@ -64,11 +65,11 @@ impl RoundEngine for DropStragglers {
             .collect();
         by_speed.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let keep = self.keep(n);
-        let survivors: Vec<AgentId> = by_speed[..keep].iter().map(|&(id, _)| id).collect();
+        let (survivors, times): (Vec<AgentId>, Vec<f64>) = by_speed[..keep].iter().copied().unzip();
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(plan.world, &survivors);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        let round_s = comdml_core::barrier_round_s(&by_speed[..keep], comm);
+        let round_s = barrier_s(&times, comm);
         let mut round = EngineRound::closed_form(round_s, self.rounds_factor(), n);
         round.progress.cohort = keep;
         round

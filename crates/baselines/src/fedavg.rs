@@ -1,6 +1,7 @@
 use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// FedAvg \[1\]: server-coordinated federated averaging.
@@ -34,7 +35,7 @@ impl FedAvg {
         // The server moves 2·P·b bytes through its own pipe.
         let server_bytes = 2 * participants.len() as u64 * b;
         let server_comm = self.cfg.calibration.transfer_time_s(server_bytes, self.cfg.server_mbps);
-        comdml_core::barrier_round_s(&times, client_comm.max(server_comm))
+        barrier_s(&times, client_comm.max(server_comm))
     }
 }
 

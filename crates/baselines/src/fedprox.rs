@@ -1,6 +1,7 @@
 use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// FedProx (\[27\] Li et al., discussed in §II-B): heterogeneity-aware FedAvg
@@ -45,13 +46,13 @@ impl FedProx {
             .map(|&id| {
                 let solo = self.cfg.solo_time_s(world.agent(id));
                 let work = (reference / solo).clamp(self.min_work, 1.0);
-                (id, solo * work)
+                solo * work
             })
             .collect();
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, participants);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        comdml_core::barrier_round_s(&times, comm)
+        barrier_s(&times, comm)
     }
 }
 

@@ -24,17 +24,6 @@ impl GossipLearning {
         Self { cfg, rounds_factor: 0.55 }
     }
 
-    /// Overrides the mixing efficiency (1.0 = as good as full averaging).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not in `(0, 1]`.
-    pub fn with_rounds_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1], got {factor}");
-        self.rounds_factor = factor;
-        self
-    }
-
     /// Degrades the mixing efficiency for a sparse topology: pairwise
     /// averaging mixes through the graph's conductance, so a graph keeping
     /// only a `density` fraction of links slows convergence roughly by
@@ -66,16 +55,21 @@ impl RoundEngine for GossipLearning {
         let b = self.cfg.model.model_bytes() as u64;
         // No barrier: the fleet progresses at its mean pace, each agent
         // paying its own compute plus one model exchange over its own link.
-        let times: Vec<_> = plan
+        let mut times: Vec<f64> = plan
             .participants
             .iter()
             .map(|&id| {
                 let a = plan.world.agent(id);
                 let exchange = 2.0 * self.cfg.calibration.transfer_time_s(b, a.profile.link_mbps);
-                (id, self.cfg.solo_time_s(a) + exchange)
+                self.cfg.solo_time_s(a) + exchange
             })
             .collect();
-        let round_s = comdml_core::mean_round_s(&times);
+        // Summed in ascending order, the order an event queue delivers the
+        // completions in, so the float sum is bit-identical to draining
+        // them from an event clock.
+        times.sort_unstable_by(f64::total_cmp);
+        let round_s =
+            if times.is_empty() { 0.0 } else { times.iter().sum::<f64>() / times.len() as f64 };
         EngineRound::closed_form(round_s, self.rounds_factor, plan.participants.len())
     }
 }
@@ -112,11 +106,5 @@ mod tests {
         let p = gossip.run_round(RoundPlan::new(0, &world, &ids)).progress;
         assert!((p.efficiency - 0.55 * 0.25f64.sqrt()).abs() < 1e-12);
         assert_eq!(p.cohort, 8, "everyone exchanges");
-    }
-
-    #[test]
-    #[should_panic(expected = "factor")]
-    fn invalid_rounds_factor_rejected() {
-        let _ = GossipLearning::new(BaselineConfig::default()).with_rounds_factor(1.5);
     }
 }

@@ -17,7 +17,10 @@
 //! model every round, which is precisely the bottleneck ComDML removes.
 //! All engines implement [`comdml_core::RoundEngine`], so
 //! [`comdml_core::FleetSim`] drives them — and ComDML — by the same
-//! membership, churn and sampling rules.
+//! membership, churn and sampling rules. Nothing inside a baseline round
+//! interleaves, so each prices its round in closed form: the slowest
+//! participant's task time plus the aggregation for the barrier methods,
+//! the mean pace for gossip.
 //!
 //! # Example
 //!

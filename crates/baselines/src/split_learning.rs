@@ -2,6 +2,7 @@ use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_cost::SplitProfile;
 use comdml_simnet::{AgentId, World};
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// Classic server-based split learning (\[2\] Vepakomma et al., §II-A): every
@@ -76,10 +77,10 @@ impl ClassicSplitLearning {
                         .cfg
                         .calibration
                         .transfer_time_s(e.nu_bytes_per_batch, a.profile.link_mbps);
-                (id, a.num_batches() as f64 * (agent_batch + round_trip + server_batch))
+                a.num_batches() as f64 * (agent_batch + round_trip + server_batch)
             })
             .collect();
-        comdml_core::barrier_round_s(&times, 0.0)
+        barrier_s(&times, 0.0)
     }
 }
 

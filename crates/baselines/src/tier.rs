@@ -1,6 +1,7 @@
 use comdml_core::{EngineRound, RoundEngine, RoundPlan};
 use comdml_simnet::{AgentId, World};
 
+use crate::common::barrier_s;
 use crate::BaselineConfig;
 
 /// TiFL-style tier-based training (\[5\] Chai et al., discussed in §I/§II):
@@ -60,7 +61,7 @@ impl TierBased {
         let b = self.cfg.model.model_bytes() as u64;
         let min_link = self.cfg.min_link_mbps(world, tier);
         let comm = 2.0 * self.cfg.calibration.transfer_time_s(b, min_link);
-        comdml_core::barrier_round_s(&times, comm)
+        barrier_s(&times, comm)
     }
 }
 

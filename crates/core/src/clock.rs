@@ -1,118 +1,66 @@
-use crate::{AgentId, EventQueue};
+//! The round engine's discrete-event clock: the typed event vocabulary of
+//! [`crate::EventRound`], a shared simulated clock over
+//! [`comdml_simnet::EventQueue`], and per-agent timelines.
 
-/// Typed events of the ComDML discrete-event simulation.
+use comdml_simnet::{AgentId, EventQueue};
+
+/// Typed events of one ComDML round.
 ///
-/// `pair` fields index into the round's pairing list (the round engine in
-/// `comdml-core` owns the per-pair state); agent-level events carry the
-/// [`AgentId`] directly. The engine is deliberately open-ended: fleet-level
-/// dynamics (failure, join, leave) share the same queue as the per-batch
+/// `pair` fields index into the round's pair table (owned by
+/// [`crate::EventRound`]); agent-level events carry the [`AgentId`]
+/// directly. Failures and joins share the queue with the per-batch
 /// pipeline events, so a helper can die halfway through a transfer and the
 /// handler observes it in causal order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimEvent {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SimEvent {
     /// The slow side of pairing `pair` finished producing activation batch
     /// `batch`.
-    BatchProduced {
-        /// Pairing index within the round.
-        pair: usize,
-        /// Zero-based batch index.
-        batch: usize,
-    },
+    BatchProduced { pair: usize, batch: usize },
     /// The link of pairing `pair` finished moving batch `batch` to the
     /// helper.
-    TransferComplete {
-        /// Pairing index within the round.
-        pair: usize,
-        /// Zero-based batch index.
-        batch: usize,
-    },
+    TransferComplete { pair: usize, batch: usize },
     /// The helper of pairing `pair` shipped the trained suffix parameters
     /// back to the slow agent.
-    SuffixReturn {
-        /// Pairing index within the round.
-        pair: usize,
-    },
+    SuffixReturn { pair: usize },
     /// Coarse-granularity completion of pairing `pair`: the whole
     /// produce/transfer/train/return pipeline collapsed into one event
     /// scheduled from the closed-form completion time. Emitted instead of
     /// the per-batch `BatchProduced`/`TransferComplete`/`SuffixReturn`
     /// cascade when the pair has no pending disruption.
-    PairDone {
-        /// Pairing index within the round.
-        pair: usize,
-    },
+    PairDone { pair: usize },
     /// `agent` finished its round task (solo epoch or its half of a pair).
-    AgentDone {
-        /// The finishing agent.
-        agent: AgentId,
-    },
+    AgentDone { agent: AgentId },
     /// Aggregation began over the currently finished cohort.
     AggregateStart,
     /// Aggregation completed; the round's critical path ends here.
     AggregateDone,
-    /// `agent` failed (crash-stop). Pairs it participates in must react.
-    AgentFail {
-        /// The failing agent.
-        agent: AgentId,
-    },
-    /// `agent` joined the fleet mid-simulation.
-    AgentJoin {
-        /// The joining agent.
-        agent: AgentId,
-    },
-    /// `agent` left the fleet gracefully.
-    AgentLeave {
-        /// The leaving agent.
-        agent: AgentId,
-    },
+    /// `agent` failed or left. Pairs it participates in must react.
+    AgentFail { agent: AgentId },
+    /// `agent` joined the fleet mid-round.
+    AgentJoin { agent: AgentId },
 }
 
 /// Per-agent accounting accumulated while events execute.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AgentTimeline {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AgentTimeline {
     /// Compute-busy seconds.
-    pub busy_s: f64,
+    pub(crate) busy_s: f64,
     /// Critical-path communication seconds.
-    pub comm_s: f64,
+    pub(crate) comm_s: f64,
     /// When the agent's task finished (simulated seconds); 0 until then.
-    pub finish_s: f64,
+    pub(crate) finish_s: f64,
     /// Whether the agent finished its task this round.
-    pub done: bool,
-    /// Whether the agent crash-stopped this round.
-    pub failed: bool,
+    pub(crate) done: bool,
 }
 
-/// The discrete-event simulation driver: a shared simulated clock, the
-/// typed event queue, and per-agent timelines.
+/// A shared simulated clock, the typed event queue, and per-agent
+/// timelines.
 ///
-/// The driver intentionally has *no* callback registration — the consumer
-/// drains events in causal order with [`SimDriver::next`] and schedules
-/// follow-ups, which keeps borrow scopes trivial and makes handlers easy
-/// to test:
-///
-/// ```
-/// use comdml_simnet::{AgentId, SimDriver, SimEvent};
-///
-/// let mut driver = SimDriver::new(2);
-/// // Agent 0 produces one batch at t=1.0; the transfer takes 0.5s.
-/// driver.schedule_at(1.0, SimEvent::BatchProduced { pair: 0, batch: 0 });
-/// while let Some((t, ev)) = driver.next() {
-///     match ev {
-///         SimEvent::BatchProduced { pair, batch } => {
-///             driver.record_busy(AgentId(0), 1.0);
-///             driver.schedule_in(0.5, SimEvent::TransferComplete { pair, batch });
-///         }
-///         SimEvent::TransferComplete { .. } => {
-///             driver.mark_done(AgentId(0), t);
-///         }
-///         _ => {}
-///     }
-/// }
-/// assert_eq!(driver.now(), 1.5);
-/// assert!(driver.timeline(AgentId(0)).done);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimDriver {
+/// There is no callback registration: the round engine drains events in
+/// causal order with [`SimDriver::next`] and schedules follow-ups, which
+/// keeps borrow scopes trivial.
+#[derive(Debug)]
+pub(crate) struct SimDriver {
     queue: EventQueue<SimEvent>,
     now: f64,
     timelines: Vec<AgentTimeline>,
@@ -122,7 +70,7 @@ pub struct SimDriver {
 
 impl SimDriver {
     /// Creates a driver for a fleet of `num_agents`, clock at zero.
-    pub fn new(num_agents: usize) -> Self {
+    pub(crate) fn new(num_agents: usize) -> Self {
         Self {
             queue: EventQueue::new(),
             now: 0.0,
@@ -133,36 +81,24 @@ impl SimDriver {
     }
 
     /// The current simulated time in seconds.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.now
     }
 
     /// Number of events executed by [`SimDriver::next`] so far — the
     /// cost metric the benchmark JSON reports, and what the coarse event
     /// granularity shrinks.
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.processed
     }
 
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// High-water mark of the pending-event queue — how bursty the round's
-    /// schedule got. Plain bookkeeping, so it is exact whether or not
-    /// observability is enabled.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
-    }
-
     /// Publishes the driver's lifetime counters to the process-wide
-    /// metrics registry (`simnet.events`, `simnet.peak_pending`), plus the
-    /// calendar-queue layout (`simnet.queue_buckets`,
-    /// `simnet.bucket_occupancy` p50/p99 at the high-water calendar). No-op
-    /// unless observability is enabled; never touches the clock or queue,
-    /// so calling it cannot perturb a run.
-    pub fn publish_metrics(&self) {
+    /// metrics registry (`simnet.events`, `simnet.peak_pending` — the
+    /// pending-queue high-water mark), plus the calendar-queue layout
+    /// (`simnet.queue_buckets`, `simnet.bucket_occupancy` p50/p99 at the
+    /// high-water calendar). No-op unless observability is enabled; never
+    /// touches the clock or queue, so calling it cannot perturb a run.
+    pub(crate) fn publish_metrics(&self) {
         if !comdml_obs::metrics_enabled() {
             return;
         }
@@ -180,20 +116,9 @@ impl SimDriver {
     ///
     /// Panics if `time` precedes the current clock (causality violation) or
     /// is NaN.
-    pub fn schedule_at(&mut self, time: f64, event: SimEvent) {
+    pub(crate) fn schedule_at(&mut self, time: f64, event: SimEvent) {
         assert!(time >= self.now, "cannot schedule into the past: {time} < {}", self.now);
         self.queue.push(time, event);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
-    }
-
-    /// Schedules `event` `delay` seconds from now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or NaN.
-    pub fn schedule_in(&mut self, delay: f64, event: SimEvent) {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.queue.push(self.now + delay, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
 
@@ -202,8 +127,7 @@ impl SimDriver {
     /// Ties are delivered in scheduling order, so identical runs replay the
     /// exact same event sequence — the determinism the seed-reproducibility
     /// tests rely on.
-    #[allow(clippy::should_implement_trait)] // DES vocabulary; the driver is not an Iterator
-    pub fn next(&mut self) -> Option<(f64, SimEvent)> {
+    pub(crate) fn next(&mut self) -> Option<(f64, SimEvent)> {
         let (t, ev) = self.queue.pop()?;
         self.now = t;
         self.processed += 1;
@@ -211,31 +135,26 @@ impl SimDriver {
     }
 
     /// Accounts `seconds` of compute on `agent`'s timeline.
-    pub fn record_busy(&mut self, agent: AgentId, seconds: f64) {
+    pub(crate) fn record_busy(&mut self, agent: AgentId, seconds: f64) {
         self.timelines[agent.0].busy_s += seconds;
     }
 
     /// Accounts `seconds` of critical-path communication on `agent`'s
     /// timeline.
-    pub fn record_comm(&mut self, agent: AgentId, seconds: f64) {
+    pub(crate) fn record_comm(&mut self, agent: AgentId, seconds: f64) {
         self.timelines[agent.0].comm_s += seconds;
     }
 
     /// Marks `agent`'s round task finished at time `at`.
-    pub fn mark_done(&mut self, agent: AgentId, at: f64) {
+    pub(crate) fn mark_done(&mut self, agent: AgentId, at: f64) {
         let t = &mut self.timelines[agent.0];
         t.done = true;
         t.finish_s = at;
     }
 
-    /// Marks `agent` crash-stopped.
-    pub fn mark_failed(&mut self, agent: AgentId) {
-        self.timelines[agent.0].failed = true;
-    }
-
     /// Clears `agent`'s done flag — used when an idle agent is re-tasked
     /// mid-round (e.g. claimed as a replacement helper after a failure).
-    pub fn mark_active(&mut self, agent: AgentId) {
+    pub(crate) fn mark_active(&mut self, agent: AgentId) {
         self.timelines[agent.0].done = false;
     }
 
@@ -244,18 +163,13 @@ impl SimDriver {
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn timeline(&self, agent: AgentId) -> &AgentTimeline {
+    pub(crate) fn timeline(&self, agent: AgentId) -> &AgentTimeline {
         &self.timelines[agent.0]
     }
 
     /// All timelines, indexed by agent id.
-    pub fn timelines(&self) -> &[AgentTimeline] {
+    pub(crate) fn timelines(&self) -> &[AgentTimeline] {
         &self.timelines
-    }
-
-    /// Number of agents currently marked done.
-    pub fn done_count(&self) -> usize {
-        self.timelines.iter().filter(|t| t.done).count()
     }
 }
 
@@ -278,16 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut d = SimDriver::new(1);
-        d.schedule_at(3.0, SimEvent::AggregateStart);
-        d.next().unwrap();
-        d.schedule_in(1.5, SimEvent::AggregateDone);
-        let (t, _) = d.next().unwrap();
-        assert_eq!(t, 4.5);
-    }
-
-    #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_panics() {
         let mut d = SimDriver::new(1);
@@ -307,23 +211,23 @@ mod tests {
         assert_eq!(d.timeline(AgentId(1)).comm_s, 1.0);
         assert!(d.timeline(AgentId(0)).done);
         assert!(!d.timeline(AgentId(1)).done);
-        assert_eq!(d.done_count(), 1);
+        assert_eq!(d.timelines().iter().filter(|t| t.done).count(), 1);
     }
 
     #[test]
     fn peak_pending_tracks_queue_high_water_mark() {
         let mut d = SimDriver::new(1);
-        assert_eq!(d.peak_pending(), 0);
+        assert_eq!(d.peak_pending, 0);
         d.schedule_at(1.0, SimEvent::AggregateStart);
         d.schedule_at(2.0, SimEvent::AggregateDone);
-        assert_eq!(d.peak_pending(), 2);
+        assert_eq!(d.peak_pending, 2);
         d.next().unwrap();
         d.next().unwrap();
         // Draining does not lower the high-water mark.
-        assert_eq!(d.pending(), 0);
-        assert_eq!(d.peak_pending(), 2);
-        d.schedule_in(1.0, SimEvent::AggregateStart);
-        assert_eq!(d.peak_pending(), 2);
+        assert!(d.queue.is_empty());
+        assert_eq!(d.peak_pending, 2);
+        d.schedule_at(3.0, SimEvent::AggregateStart);
+        assert_eq!(d.peak_pending, 2);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use comdml_simnet::{
 };
 
 use crate::{
-    AggregationMode, Disruption, EventGranularity, EventRound, EventRoundReport, LearningCurve,
-    PairingScheduler, RoundProgress, TrainingTimeEstimator,
+    AggregationMode, Disruption, EventGranularity, EventRound, EventRoundReport, PairingScheduler,
+    RoundProgress, TrainingTimeEstimator,
 };
 
 /// Dynamic-environment policy: re-roll a fraction of agent profiles every
@@ -46,8 +46,6 @@ pub struct ComDmlConfig {
     pub churn: Option<ChurnPolicy>,
     /// Candidate offloads to profile (`None` = every layer boundary).
     pub candidate_offloads: Option<Vec<usize>>,
-    /// Learning curve for rounds-to-accuracy conversion.
-    pub curve: LearningCurve,
     /// Mini-batch size used for profiling (the paper uses 100).
     pub batch_size: usize,
     /// How rounds aggregate: the classic barrier, a quorum/staleness
@@ -91,7 +89,6 @@ impl Default for ComDmlConfig {
             sampling_rate: 1.0,
             churn: Some(ChurnPolicy::default()),
             candidate_offloads: None,
-            curve: LearningCurve::cifar10(true),
             batch_size: 100,
             aggregation: AggregationMode::Synchronous,
             staleness_decay: 0.5,

@@ -1,12 +1,12 @@
 //! The discrete-event round engine.
 //!
-//! [`EventRound`] executes one training round by scheduling typed
-//! [`SimEvent`]s against a shared simulated clock ([`SimDriver`]) instead of
-//! evaluating closed-form per-pair formulas. Every pairing becomes a small
-//! state machine — the slow side produces activation batches, the link
-//! serializes transfers, the helper trains guest batches after its own task
-//! — and all pairs interleave on one queue. That shared clock is what the
-//! closed-form loop could never express:
+//! [`EventRound`] executes one training round by scheduling typed events
+//! against a shared simulated clock (the crate-private `clock` module)
+//! instead of evaluating closed-form per-pair formulas. Every pairing
+//! becomes a small state machine — the slow side produces activation
+//! batches, the link serializes transfers, the helper trains guest batches
+//! after its own task — and all pairs interleave on one queue. That shared
+//! clock is what the closed-form loop could never express:
 //!
 //! * **Aggregation modes** ([`AggregationMode`]): the classic synchronous
 //!   barrier, a semi-synchronous quorum/staleness trigger where stragglers
@@ -55,8 +55,9 @@ use std::collections::HashMap;
 
 use comdml_collective::{AllReduceAlgorithm, CollectiveCost};
 use comdml_cost::CostCalibration;
-use comdml_simnet::{AgentId, SimDriver, SimEvent, World};
+use comdml_simnet::{AgentId, World};
 
+use crate::clock::{SimDriver, SimEvent};
 use crate::{
     AgentRoundStats, PairRoundSim, Pairing, RoundOutcome, RoundProgress, TrainingTimeEstimator,
 };
@@ -89,10 +90,10 @@ pub enum AggregationMode {
 /// The fine granularity schedules one `BatchProduced`/`TransferComplete`
 /// pair of events per activation batch — necessary when a disruption can
 /// strike mid-pipeline, but O(batches) heap traffic per pairing. The coarse
-/// granularity collapses an *undisrupted* pairing into a single
-/// [`SimEvent::PairDone`] scheduled from the max-plus closed form of the
-/// pipeline (helper-task, first-batch, production and link bottlenecks),
-/// falling back to fine-grained events only for pairings whose members are
+/// granularity collapses an *undisrupted* pairing into a single `PairDone`
+/// event scheduled from the max-plus closed form of the pipeline
+/// (helper-task, first-batch, production and link bottlenecks), falling
+/// back to fine-grained events only for pairings whose members are
 /// targeted by an injected failure or leave. With no disruptions the two
 /// granularities agree to within 1e-9 (covered by `tests/fleet_churn.rs`);
 /// coarse is what makes 10k agents × hundreds of batches per agent
@@ -108,18 +109,21 @@ pub enum EventGranularity {
 }
 
 /// A scripted fleet-membership disruption injected into the round.
+///
+/// Inside the engine `Fail` and `Leave` are identical: the agent stops at
+/// `at_s`, its in-flight guest work is lost, and its pair re-pairs or falls
+/// back to local training. The two stay distinct so callers can say which
+/// membership event they are replaying.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Disruption {
-    /// `agent` crash-stops at `at_s`: in-flight guest work is lost and its
-    /// pair re-pairs or falls back to local training.
+    /// `agent` crash-stops at `at_s`.
     Fail {
         /// The failing agent.
         agent: AgentId,
         /// Failure instant, simulated seconds.
         at_s: f64,
     },
-    /// `agent` leaves gracefully at `at_s`: same re-pairing path as a crash
-    /// but the agent is not marked failed in the timeline.
+    /// `agent` leaves gracefully at `at_s`.
     Leave {
         /// The leaving agent.
         agent: AgentId,
@@ -210,67 +214,6 @@ impl EventRoundReport {
             disruptions: self.repairs + self.local_fallbacks,
         }
     }
-}
-
-/// Executes a barrier round for engines without pairing on the shared event
-/// clock: one [`SimEvent::AgentDone`] per participant at its task time, an
-/// [`SimEvent::AggregateStart`] once the last finisher arrives, and the
-/// matching [`SimEvent::AggregateDone`] `aggregation_s` later. Returns the
-/// round's total simulated seconds.
-///
-/// Every baseline `RoundEngine` (FedAvg, AllReduce-DML, BrainTorrent, …)
-/// routes its synchronized phases through here, so ComDML and the baselines
-/// share one simulation substrate.
-pub fn barrier_round_s(times: &[(AgentId, f64)], aggregation_s: f64) -> f64 {
-    if times.is_empty() {
-        return 0.0;
-    }
-    let k = times.iter().map(|&(id, _)| id.0).max().expect("non-empty") + 1;
-    let mut driver = SimDriver::new(k);
-    for &(id, t) in times {
-        driver.record_busy(id, t);
-        driver.schedule_at(t, SimEvent::AgentDone { agent: id });
-    }
-    let mut remaining = times.len();
-    while let Some((now, event)) = driver.next() {
-        match event {
-            SimEvent::AgentDone { agent } => {
-                driver.mark_done(agent, now);
-                remaining -= 1;
-                if remaining == 0 {
-                    driver.schedule_at(now, SimEvent::AggregateStart);
-                }
-            }
-            SimEvent::AggregateStart => {
-                driver.schedule_at(now + aggregation_s, SimEvent::AggregateDone)
-            }
-            _ => {}
-        }
-    }
-    driver.now()
-}
-
-/// Executes a barrier-free round on the event clock and returns the mean
-/// completion time — the round cost of gossip-style engines where every
-/// agent proceeds at its own pace.
-pub fn mean_round_s(times: &[(AgentId, f64)]) -> f64 {
-    if times.is_empty() {
-        return 0.0;
-    }
-    let k = times.iter().map(|&(id, _)| id.0).max().expect("non-empty") + 1;
-    let mut driver = SimDriver::new(k);
-    for &(id, t) in times {
-        driver.record_busy(id, t);
-        driver.schedule_at(t, SimEvent::AgentDone { agent: id });
-    }
-    let mut total = 0.0;
-    while let Some((now, event)) = driver.next() {
-        if let SimEvent::AgentDone { agent } = event {
-            driver.mark_done(agent, now);
-            total += now;
-        }
-    }
-    total / times.len() as f64
 }
 
 /// Sentinel for "agent belongs to no pairing" in the dense pair index.
@@ -626,16 +569,6 @@ impl<'a> EventRound<'a> {
                 }
             }
         }
-        // Crash vs graceful departure, for timeline bookkeeping.
-        let crashes: HashMap<AgentId, bool> = self
-            .disruptions
-            .iter()
-            .filter_map(|d| match *d {
-                Disruption::Fail { agent, .. } => Some((agent, true)),
-                Disruption::Leave { agent, .. } => Some((agent, false)),
-                Disruption::Join { .. } => None,
-            })
-            .collect();
 
         let mut gone = vec![false; k];
         let mut joined_pool: Vec<AgentId> = Vec::new();
@@ -843,9 +776,6 @@ impl<'a> EventRound<'a> {
                         continue;
                     }
                     gone[agent.0] = true;
-                    if crashes.get(&agent).copied().unwrap_or(true) {
-                        driver.mark_failed(agent);
-                    }
                     let idx = pair_of[agent.0];
                     if idx == NO_PAIR {
                         continue;
@@ -905,11 +835,6 @@ impl<'a> EventRound<'a> {
                     // their own.
                     joined_pool.push(agent);
                     driver.mark_done(agent, now);
-                }
-                SimEvent::AgentLeave { agent } => {
-                    // Disruption scheduling routes leaves through AgentFail;
-                    // a directly injected Leave behaves identically.
-                    driver.schedule_at(now, SimEvent::AgentFail { agent });
                 }
             }
         }

@@ -14,7 +14,8 @@
 //!    choosing the partner and split that minimize its estimated time.
 //! 4. **Round execution** ([`EventRound`]) — the one round entry point:
 //!    a per-batch pipeline simulation of paired local-loss split training,
-//!    plus AllReduce aggregation cost, on a discrete-event clock.
+//!    plus AllReduce aggregation cost, on a discrete-event clock private to
+//!    this crate (the baselines price their barriers in closed form).
 //!    `EventRound::new(..).run().outcome` is the synchronous round.
 //! 5. **Multi-round runs** ([`FleetSim`]) — the one round loop. It owns
 //!    membership, profile churn, participation sampling and the clock, and
@@ -42,6 +43,7 @@
 //! Part of the `comdml-rs` workspace — the crate map in the repository
 //! README shows how this crate fits the whole.
 
+mod clock;
 mod comdml;
 mod estimator;
 mod event_round;
@@ -56,8 +58,7 @@ pub use estimator::{
     EstimateMemo, FnvBuildHasher, FnvHasher, SplitDecision, TrainingTimeEstimator,
 };
 pub use event_round::{
-    barrier_round_s, mean_round_s, AggregationMode, Disruption, EventGranularity, EventRound,
-    EventRoundReport,
+    AggregationMode, Disruption, EventGranularity, EventRound, EventRoundReport,
 };
 pub use fleet::{FleetReport, FleetRoundSummary, FleetSim};
 pub use learning_curve::{staleness_weight, LearningCurve};

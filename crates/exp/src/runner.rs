@@ -219,7 +219,6 @@ impl ScenarioSpec {
             threads: self.threads,
             aggregation: self.aggregation,
             granularity: self.granularity,
-            curve: self.learning_curve(),
             batch_size: self.batch_size,
             staleness_decay: self.method_params.staleness_decay,
             diurnal: self.diurnal,

@@ -143,8 +143,8 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, time: f64, payload: T) {
         assert!(!time.is_nan(), "event time must not be NaN");
         let vb = self.vbucket(time);
-        // An event pushed before the cursor (legal here, even though
-        // `SimDriver` forbids scheduling in the past) rewinds it.
+        // An event pushed before the cursor (legal here, even though the
+        // round engine's clock forbids scheduling in the past) rewinds it.
         if self.len == 0 || vb < self.cur_vb {
             self.cur_vb = vb;
         }

@@ -10,12 +10,8 @@
 //! This crate reproduces that substrate: [`AgentProfile`]s and the paper's
 //! profile grids, [`Topology`] generation, the [`World`] container tying
 //! agents + links + data sizes together, profile churn, participant sampling,
-//! and the discrete-event core — a deterministic [`EventQueue`] plus the
-//! [`SimDriver`] that executes typed [`SimEvent`]s (batch production,
-//! transfers, suffix returns, aggregation, failure/join/leave) against a
-//! shared simulated clock with per-agent [`AgentTimeline`] accounting. The
-//! round engine in `comdml-core` builds every simulation — ComDML and all
-//! baselines — on this driver.
+//! and a deterministic calendar [`EventQueue`] — the queue under the round
+//! engine's event clock in `comdml-core`.
 //!
 //! On top of the single-round substrate, [`FleetDriver`] makes membership a
 //! *process*: Poisson or trace-driven [`ArrivalProcess`] arrivals,
@@ -40,7 +36,6 @@
 
 mod agent;
 mod dist;
-mod driver;
 mod events;
 mod fleet;
 mod hostile;
@@ -50,7 +45,6 @@ mod world;
 
 pub use agent::{AgentId, AgentState};
 pub use dist::{DistSampler, DistributionConfig, DIST_SAMPLE_FLOOR};
-pub use driver::{AgentTimeline, SimDriver, SimEvent};
 pub use events::{BucketStats, EventQueue};
 pub use fleet::{
     ArrivalProcess, FleetConfig, FleetDriver, FleetRoundPlan, MembershipChange, MembershipEvent,

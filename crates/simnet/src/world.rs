@@ -143,7 +143,6 @@ impl WorldConfig {
         let adjacency = self.topology.build(k, &mut rng);
         let mut world = World {
             agents,
-            cpus: Vec::new(),
             link_col: Vec::new(),
             adjacency,
             link_scale: 1.0,
@@ -164,18 +163,15 @@ impl WorldConfig {
 ///
 /// # Hot columns
 ///
-/// The agent list stays the authoritative record, but the fields the event
-/// engine and scheduler touch per event — CPU speed and link class — are
-/// mirrored into struct-of-arrays columns ([`World::cpus`],
-/// [`World::link_classes_mbps`]) so a scan over a million agents reads
-/// dense `f64` arrays instead of striding through whole `AgentState`s.
-/// Every mutator keeps the columns in sync; [`World::agents_mut`] hands
-/// out a guard that rebuilds them when dropped.
+/// The agent list stays the authoritative record, but the field the
+/// pairing scan reads per candidate link — the link class — is mirrored
+/// into a struct-of-arrays column ([`World::link_classes_mbps`]) so
+/// [`World::link_mbps`] reads a dense `f64` array instead of striding
+/// through whole `AgentState`s. Every mutator keeps the column in sync;
+/// [`World::agents_mut`] hands out a guard that rebuilds it when dropped.
 #[derive(Debug, Clone)]
 pub struct World {
     agents: Vec<AgentState>,
-    /// Column mirror of `agents[i].profile.cpus`.
-    cpus: Vec<f64>,
     /// Column mirror of `agents[i].profile.link_mbps`.
     link_col: Vec<f64>,
     adjacency: Adjacency,
@@ -187,7 +183,7 @@ pub struct World {
     /// of the fleet read as 0 Mbps until cleared.
     partition: Option<(usize, usize)>,
     /// Drives profile churn only. Participation sampling has its own stream
-    /// ([`World::sample_participants`]) so enabling one feature never
+    /// ([`World::sample_participants_among`]) so enabling one feature never
     /// perturbs the other's outcomes under a fixed seed.
     churn_rng: StdRng,
     participation_rng: StdRng,
@@ -203,7 +199,6 @@ impl World {
         assert_eq!(agents.len(), adjacency.len(), "agents and adjacency must agree");
         let mut world = Self {
             agents,
-            cpus: Vec::new(),
             link_col: Vec::new(),
             adjacency,
             link_scale: 1.0,
@@ -215,11 +210,9 @@ impl World {
         world
     }
 
-    /// Recomputes the hot columns from the agent list.
+    /// Recomputes the hot column from the agent list.
     fn rebuild_columns(&mut self) {
-        self.cpus.clear();
         self.link_col.clear();
-        self.cpus.extend(self.agents.iter().map(|a| a.profile.cpus));
         self.link_col.extend(self.agents.iter().map(|a| a.profile.link_mbps));
     }
 
@@ -235,16 +228,10 @@ impl World {
 
     /// Mutable agent states (used by failure-injection tests). Returns a
     /// guard that dereferences to the agent slice and re-syncs the hot
-    /// columns when dropped, so callers can mutate profiles freely without
-    /// the columns going stale.
+    /// column when dropped, so callers can mutate profiles freely without
+    /// the column going stale.
     pub fn agents_mut(&mut self) -> AgentsMut<'_> {
         AgentsMut { world: self }
-    }
-
-    /// The per-agent CPU-speed column (`agents()[i].profile.cpus`),
-    /// contiguous for cache-line-sized hot-path scans.
-    pub fn cpus(&self) -> &[f64] {
-        &self.cpus
     }
 
     /// The per-agent link-class column (`agents()[i].profile.link_mbps`),
@@ -281,7 +268,6 @@ impl World {
     ) -> AgentId {
         let id = AgentId(self.agents.len());
         self.agents.push(AgentState::new(id, profile, num_samples, batch_size));
-        self.cpus.push(profile.cpus);
         self.link_col.push(profile.link_mbps);
         self.adjacency.grow();
         id
@@ -304,7 +290,6 @@ impl World {
     ) -> AgentId {
         let id = AgentId(self.agents.len());
         self.agents.push(AgentState::new(id, profile, num_samples, batch_size));
-        self.cpus.push(profile.cpus);
         self.link_col.push(profile.link_mbps);
         match join {
             JoinTopology::FullMesh => self.adjacency.grow(),
@@ -332,7 +317,6 @@ impl World {
         rng: &mut R,
     ) {
         self.agents[id.0] = AgentState::new(id, profile, num_samples, batch_size);
-        self.cpus[id.0] = profile.cpus;
         self.link_col[id.0] = profile.link_mbps;
         match join {
             JoinTopology::FullMesh => self.adjacency.rewire_full(id.0),
@@ -396,17 +380,6 @@ impl World {
         self.partition = None;
     }
 
-    /// The neighbours of `i` with a usable (non-zero) link.
-    pub fn reachable_neighbors(&self, i: AgentId) -> Vec<AgentId> {
-        self.reachable_neighbors_iter(i).collect()
-    }
-
-    /// Iterator form of [`World::reachable_neighbors`] — no allocation, for
-    /// hot paths that only scan or count.
-    pub fn reachable_neighbors_iter(&self, i: AgentId) -> impl Iterator<Item = AgentId> + '_ {
-        self.adjacency.neighbors_iter(i.0).map(AgentId).filter(move |&j| self.link_mbps(i, j) > 0.0)
-    }
-
     /// Re-rolls the profiles of a `fraction` of agents, the paper's dynamic
     /// environment ("we randomly changed the profile of 20% of the agents
     /// after 100 rounds").
@@ -418,28 +391,18 @@ impl World {
         for &i in ids.iter().take(n) {
             let p = AgentProfile::sample(&mut self.churn_rng);
             self.agents[i].profile = p;
-            self.cpus[i] = p.cpus;
             self.link_col[i] = p.link_mbps;
         }
     }
 
     /// Samples a participation subset of the given rate (Table III uses a
-    /// 20% sampling rate), always returning at least one agent.
+    /// 20% sampling rate) from `candidates` — in an elastic fleet, the
+    /// currently *active* members rather than every agent ever seen.
+    /// Returns at least one agent (unless `candidates` is empty) in
+    /// ascending id order.
     ///
     /// Draws from a dedicated RNG stream: toggling sampling on or off does
     /// not change which profiles churn re-rolls, and vice versa.
-    pub fn sample_participants(&mut self, rate: f64) -> Vec<AgentId> {
-        let all: Vec<AgentId> = (0..self.agents.len()).map(AgentId).collect();
-        self.sample_participants_among(&all, rate)
-    }
-
-    /// Samples a participation subset of the given rate from an explicit
-    /// candidate set — the elastic-fleet variant of
-    /// [`World::sample_participants`], where the candidates are the
-    /// currently *active* members rather than every agent ever seen.
-    /// Returns at least one agent (unless `candidates` is empty) in
-    /// ascending id order, drawing from the same dedicated participation
-    /// stream.
     pub fn sample_participants_among(&mut self, candidates: &[AgentId], rate: f64) -> Vec<AgentId> {
         let k = candidates.len();
         if k == 0 {
@@ -452,26 +415,13 @@ impl World {
         ids.sort();
         ids
     }
-
-    /// The slowest agent's solo round time given per-batch seconds computed
-    /// by the caller — convenience for straggler diagnostics.
-    pub fn straggler_by<F: Fn(&AgentState) -> f64>(&self, time_fn: F) -> (AgentId, f64) {
-        let mut worst = (AgentId(0), 0.0);
-        for a in &self.agents {
-            let t = time_fn(a);
-            if t > worst.1 {
-                worst = (a.id, t);
-            }
-        }
-        worst
-    }
 }
 
 /// Mutable view of the agent list handed out by [`World::agents_mut`].
 ///
 /// Dereferences to `[AgentState]`; when dropped it rebuilds the hot
-/// struct-of-arrays columns so profile edits made through the view are
-/// reflected in [`World::cpus`] and [`World::link_classes_mbps`].
+/// struct-of-arrays column so profile edits made through the view are
+/// reflected in [`World::link_classes_mbps`].
 #[derive(Debug)]
 pub struct AgentsMut<'a> {
     world: &'a mut World,
@@ -527,6 +477,10 @@ impl World {
 mod tests {
     use super::*;
 
+    fn all_ids(w: &World) -> Vec<AgentId> {
+        w.agents().iter().map(|a| a.id).collect()
+    }
+
     #[test]
     fn build_splits_samples_exactly() {
         let w = WorldConfig::heterogeneous(7, 3).total_samples(1000).build();
@@ -569,8 +523,8 @@ mod tests {
         ];
         let adj = Adjacency::from_matrix(vec![vec![false, true], vec![true, false]]);
         let w = World::from_parts(agents, adj, 0);
-        assert!(w.reachable_neighbors(AgentId(0)).is_empty());
-        assert!(w.reachable_neighbors(AgentId(1)).is_empty());
+        assert_eq!(w.link_mbps(AgentId(0), AgentId(1)), 0.0);
+        assert_eq!(w.link_mbps(AgentId(1), AgentId(0)), 0.0);
     }
 
     #[test]
@@ -589,9 +543,10 @@ mod tests {
     #[test]
     fn sampling_respects_rate_and_is_nonempty() {
         let mut w = WorldConfig::heterogeneous(50, 13).build();
-        let s = w.sample_participants(0.2);
+        let all = all_ids(&w);
+        let s = w.sample_participants_among(&all, 0.2);
         assert_eq!(s.len(), 10);
-        let tiny = w.sample_participants(0.0001);
+        let tiny = w.sample_participants_among(&all, 0.0001);
         assert_eq!(tiny.len(), 1);
     }
 
@@ -599,9 +554,10 @@ mod tests {
     fn sampling_does_not_perturb_churn_stream() {
         let mut plain = WorldConfig::heterogeneous(20, 11).build();
         let mut sampled = WorldConfig::heterogeneous(20, 11).build();
+        let all = all_ids(&sampled);
         // Only one world draws participation samples first…
-        let _ = sampled.sample_participants(0.2);
-        let _ = sampled.sample_participants(0.2);
+        let _ = sampled.sample_participants_among(&all, 0.2);
+        let _ = sampled.sample_participants_among(&all, 0.2);
         // …yet churn outcomes must stay identical: the streams are decoupled.
         plain.churn_profiles(0.5);
         sampled.churn_profiles(0.5);
@@ -613,7 +569,11 @@ mod tests {
         let mut plain = WorldConfig::heterogeneous(20, 13).build();
         let mut churned = WorldConfig::heterogeneous(20, 13).build();
         churned.churn_profiles(0.5);
-        assert_eq!(plain.sample_participants(0.3), churned.sample_participants(0.3));
+        let all = all_ids(&plain);
+        assert_eq!(
+            plain.sample_participants_among(&all, 0.3),
+            churned.sample_participants_among(&all, 0.3)
+        );
     }
 
     #[test]
@@ -679,22 +639,11 @@ mod tests {
     }
 
     #[test]
-    fn straggler_by_finds_maximum() {
-        let w = WorldConfig::heterogeneous(10, 19).build();
-        let (id, t) = w.straggler_by(|a| a.num_batches() as f64 / a.profile.cpus);
-        for a in w.agents() {
-            assert!(a.num_batches() as f64 / a.profile.cpus <= t + 1e-12);
-        }
-        assert!(id.0 < 10);
-    }
-
-    #[test]
     fn hot_columns_track_every_mutator() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let check = |w: &World| {
             for (i, a) in w.agents().iter().enumerate() {
-                assert_eq!(w.cpus()[i], a.profile.cpus);
                 assert_eq!(w.link_classes_mbps()[i], a.profile.link_mbps);
             }
         };

@@ -84,7 +84,8 @@ proptest! {
     #[test]
     fn sampling_invariants(k in 1usize..64, seed in 0u64..u64::MAX, rate in 0.0f64..1.0) {
         let mut world = WorldConfig::heterogeneous(k, seed).build();
-        let sample = world.sample_participants(rate);
+        let all: Vec<_> = world.agents().iter().map(|a| a.id).collect();
+        let sample = world.sample_participants_among(&all, rate);
         prop_assert!(!sample.is_empty());
         prop_assert!(sample.len() <= k);
         for w in sample.windows(2) {

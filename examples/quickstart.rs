@@ -6,7 +6,7 @@
 //! ```
 
 use comdml::core::{
-    ComDmlConfig, FleetSim, LearningModel, PairingScheduler, TrainingTimeEstimator,
+    ComDmlConfig, FleetSim, LearningCurve, LearningModel, PairingScheduler, TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
 use comdml::simnet::FleetConfig;
@@ -46,7 +46,7 @@ fn main() {
     }
 
     // Run the whole training to 80% accuracy, round by round.
-    let mut model = LearningModel::new(ComDmlConfig::default().curve, 0.80);
+    let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
     let mut offloads = 0;
     while !model.reached() {
         model.observe(&(&sim.step()).into());

@@ -6,7 +6,7 @@
 //! cargo run --example topology_comparison
 //! ```
 
-use comdml::core::{ComDmlConfig, FleetSim, LearningModel};
+use comdml::core::{ComDmlConfig, FleetSim, LearningCurve, LearningModel};
 use comdml::simnet::{FleetConfig, Topology};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     ] {
         let fleet = FleetConfig::new(k, 42).samples_per_agent(5_000).topology(topo);
         let config = ComDmlConfig { churn: None, ..ComDmlConfig::default() };
-        let mut model = LearningModel::new(config.curve, 0.80);
+        let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
         let mut sim = FleetSim::new(fleet, config);
         let mut offloads = 0;
         while !model.reached() {

@@ -18,10 +18,10 @@
 //!   and `RealSplitFleet`, the ComDML protocol run with real gradients.
 //! * [`data`] — synthetic datasets and Dirichlet non-I.I.D. partitioning.
 //! * [`cost`] — analytic ResNet-56/110 cost models and split profiles.
-//! * [`simnet`] — heterogeneous agents, links, topologies, the
-//!   discrete-event driver (`SimDriver` / `SimEvent`) every simulation runs
-//!   on, and the elastic fleet driver (`FleetDriver`): Poisson/trace
-//!   arrivals, session-lifetime departures, membership as a process.
+//! * [`simnet`] — heterogeneous agents, links, topologies, the calendar
+//!   event queue (`EventQueue`), and the elastic fleet driver
+//!   (`FleetDriver`): Poisson/trace arrivals, session-lifetime departures,
+//!   membership as a process.
 //! * [`collective`] — AllReduce, gossip and quantization.
 //! * [`core`] — the ComDML scheduler, estimator and the event-driven round
 //!   engine (`EventRound`): synchronous, semi-synchronous and asynchronous
@@ -31,7 +31,8 @@
 //!   one round loop — driving ComDML or any baseline over a churning fleet.
 //!   The simulator only: it depends on no training crate.
 //! * [`baselines`] — FedAvg, Gossip Learning, BrainTorrent, AllReduce DML —
-//!   all executing on the same shared simulated clock.
+//!   each round priced in closed form (slowest-agent barrier or mean pace)
+//!   and driven by the same `FleetSim` harness as ComDML.
 //! * [`exp`] — declarative scenario specs (`ScenarioSpec`/`SweepSpec`) and
 //!   the parallel `SweepRunner` regenerating the paper's Table II/III grids
 //!   (`exp_sweep`, `paper_tables`) with byte-deterministic reports.

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use comdml::collective::AllReduceAlgorithm;
 use comdml::core::{
     staleness_weight, AggregationMode, ComDml, ComDmlConfig, EventGranularity, EventRound,
-    FleetSim, LearningModel, PairingScheduler, RoundEngine, RoundOutcome, RoundPlan,
+    FleetSim, LearningCurve, LearningModel, PairingScheduler, RoundEngine, RoundOutcome, RoundPlan,
     TrainingTimeEstimator,
 };
 use comdml::cost::{CostCalibration, ModelSpec, SplitProfile};
@@ -192,7 +192,7 @@ fn semi_sync_run_needs_more_rounds_than_sync() {
     // rounds.
     let rounds = |mode| {
         let config = ComDmlConfig { churn: None, aggregation: mode, ..ComDmlConfig::default() };
-        let mut model = LearningModel::new(config.curve, 0.80);
+        let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.80);
         let mut sim = FleetSim::new(FleetConfig::new(16, 11).samples_per_agent(1500), config);
         while !model.reached() && model.rounds_observed() < 1_000 {
             model.observe(&(&sim.step()).into());

@@ -128,7 +128,7 @@ fn churn_does_not_break_comdml() {
         churn: Some(ChurnPolicy { interval: 3, fraction: 0.5 }),
         ..ComDmlConfig::default()
     };
-    let mut model = LearningModel::new(config.curve, 0.85);
+    let mut model = LearningModel::new(LearningCurve::cifar10(true), 0.85);
     let mut sim = FleetSim::new(FleetConfig::new(20, 11).samples_per_agent(5_000), config);
     let mut offloads = 0;
     while !model.reached() {
@@ -180,7 +180,6 @@ fn resnet110_takes_longer_than_resnet56() {
     let mut c56 = ComDml::new(no_churn_comdml());
     let mut c110 = ComDml::new(ComDmlConfig {
         model: comdml::cost::ModelSpec::resnet110(),
-        curve: curve110,
         churn: None,
         ..ComDmlConfig::default()
     });
