@@ -7,10 +7,10 @@
 //! `2·log2(K)` communication steps versus the ring's `2(K−1)`; both move
 //! `2·(K−1)/K · b` bytes per agent.
 //!
-//! This crate implements both algorithms *for real* over in-memory buffers
-//! (they are also reused by the tokio transport in `comdml-net`), plus the
-//! gossip-averaging primitive used by the Gossip Learning baseline and an
-//! int8 quantizer hook (§IV-B notes quantized gradients can be integrated).
+//! This crate implements both algorithms *for real* over in-memory buffers,
+//! plus the gossip-averaging primitive used by the Gossip Learning baseline
+//! and an int8 quantizer hook (§IV-B notes quantized gradients can be
+//! integrated).
 //!
 //! # Example
 //!

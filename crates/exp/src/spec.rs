@@ -646,8 +646,18 @@ impl SweepSpec {
     }
 
     /// Total jobs the sweep expands to.
+    ///
+    /// # Panics
+    ///
+    /// If `scenarios × methods × seeds.count` overflows `usize`;
+    /// [`SweepSpec::validate`] rejects such a spec.
     pub fn num_jobs(&self) -> usize {
-        self.scenarios.len() * self.methods.len() * self.seeds.count
+        self.checked_num_jobs().expect("job matrix overflows usize; validate() rejects this spec")
+    }
+
+    /// `scenarios × methods × seeds.count`, or `None` on overflow.
+    fn checked_num_jobs(&self) -> Option<usize> {
+        self.scenarios.len().checked_mul(self.methods.len())?.checked_mul(self.seeds.count)
     }
 
     /// Validates the sweep and every scenario.
@@ -667,6 +677,14 @@ impl SweepSpec {
         }
         if self.scenarios.is_empty() {
             return Err("at least one scenario is required".into());
+        }
+        if self.checked_num_jobs().is_none() {
+            return Err(format!(
+                "job matrix of {} scenarios × {} methods × {} seeds overflows usize",
+                self.scenarios.len(),
+                self.methods.len(),
+                self.seeds.count
+            ));
         }
         let mut names: Vec<&str> = self.scenarios.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
@@ -1295,6 +1313,13 @@ mod tests {
         assert!(wrap(low_cap.clone()).validate().unwrap_err().contains("max_agents"));
         low_cap.max_agents = Some(10);
         assert!(wrap(low_cap).validate().is_ok(), "a cap equal to the fleet is valid");
+        let huge = SweepSpec::new("x")
+            .seeds(1, usize::MAX)
+            .method(Method::ComDml)
+            .method(Method::FedAvg)
+            .scenario(ScenarioSpec::new("a"));
+        let err = huge.validate().unwrap_err();
+        assert!(err.contains("1 scenarios × 2 methods") && err.contains("overflows"), "{err}");
     }
 
     #[test]

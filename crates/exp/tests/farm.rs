@@ -8,8 +8,9 @@
 //!   worker finishes them, and the bytes still match;
 //! * a worker that goes silent holding a slice (no rows, no heartbeats)
 //!   trips the reaper's timeout path, with the same outcome;
-//! * client-facing errors (unknown sweeps, malformed specs) come back
-//!   described, not as hangs or disconnects.
+//! * client-facing errors (unknown sweeps, malformed specs, job matrices
+//!   that overflow `usize`) come back described, not as hangs or
+//!   disconnects.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -225,5 +226,28 @@ fn wire_errors_come_back_described() {
         panic!("expected a described error")
     };
     assert!(!detail.is_empty());
+    coordinator.shutdown();
+}
+
+/// A sweep whose job matrix overflows `usize` is refused with a FarmError
+/// that names the product, before the coordinator allocates anything for
+/// it; the same session and new ones keep being served.
+#[test]
+fn overflowing_job_matrix_is_refused_and_coordinator_keeps_serving() {
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", test_config(4)).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let mut s = FramedStream::new(TcpStream::connect(&addr).unwrap());
+    s.handshake().unwrap();
+    let huge = farm_spec("huge", usize::MAX);
+    s.send(&Message::SubmitSweep { spec_json: huge.render() }).unwrap();
+    let Message::FarmError { detail } = s.recv().unwrap() else {
+        panic!("expected the overflow to be refused")
+    };
+    assert!(detail.contains("2 scenarios × 3 methods") && detail.contains("overflows"), "{detail}");
+    s.send(&Message::StatusRequest { sweep_id: 1 }).unwrap();
+    assert!(matches!(s.recv().unwrap(), Message::FarmError { .. }), "nothing was queued");
+    let (id, total) = farm::submit(&addr, &farm_spec("after", 1)).unwrap();
+    assert_eq!(total, 6);
+    assert_eq!(farm::status(&addr, id).unwrap().total, 6);
     coordinator.shutdown();
 }

@@ -77,11 +77,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    fn get_f32_le(&mut self, what: &str) -> Result<f32, NetError> {
-        let b = self.take(4, what)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     fn get_str(&mut self, what: &str) -> Result<String, NetError> {
         let n = self.get_u32_le(what)? as usize;
         let raw = self.take(n, what)?;
@@ -121,25 +116,6 @@ fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-fn put_f32s(buf: &mut Vec<u8>, data: &[f32]) {
-    buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    buf.reserve(data.len() * 4);
-    for &v in data {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn get_f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, NetError> {
-    let n = r.get_u32_le("vector length")? as usize;
-    if r.remaining() < n * 4 {
-        return Err(NetError::BadFrame(format!(
-            "vector claims {n} floats but only {} bytes remain",
-            r.remaining()
-        )));
-    }
-    (0..n).map(|_| r.get_f32_le("vector")).collect()
-}
-
 /// One worker's live telemetry inside a [`Message::StatusDetail`] reply
 /// (protocol ≥ 2): the coordinator's view of a connected worker, built
 /// from the snapshots the worker piggybacks on its heartbeats.
@@ -163,18 +139,18 @@ pub struct WorkerRow {
     pub skipped_unknown: u64,
 }
 
-/// Protocol messages exchanged between ComDML peers.
+/// Protocol messages of the sweep farm's wire.
 ///
-/// Two families share the wire format:
+/// Kinds 9–27 are the version handshake plus the coordinator/worker/client
+/// request–response vocabulary of the distributed sweep farm
+/// (`comdml-exp`'s `exp_farm`). Farm payloads that carry experiment
+/// objects (specs, job rows) travel as JSON text: the farm's byte-identity
+/// guarantee rests on the exact rendered text, so the wire never
+/// re-encodes them.
 ///
-/// * the **training protocol** (kinds 0–8) — profile broadcasts, pairing
-///   handshakes, activation streaming and model exchange;
-/// * the **sweep-farm service** (kinds 9–27) — the version handshake plus
-///   the coordinator/worker/client request–response vocabulary of the
-///   distributed sweep farm (`comdml-exp`'s `exp_farm`). Farm payloads
-///   that carry experiment objects (specs, job rows) travel as JSON text:
-///   the farm's byte-identity guarantee rests on the exact rendered text,
-///   so the wire never re-encodes them.
+/// Kinds 0–8 are retired, reserved; never reuse. They carried a
+/// peer-to-peer training demo; [`Message::decode_body`] returns `Ok(None)`
+/// for them like for any unknown kind.
 ///
 /// The encoding is a u16 kind tag (carried in the frame header) followed
 /// by little-endian body fields; strings and vectors are length-prefixed.
@@ -183,64 +159,6 @@ pub struct WorkerRow {
 /// number, so skip-unknown forward compatibility stays sound.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Initial identification after connecting.
-    Hello {
-        /// Sender's agent id.
-        agent_id: u32,
-    },
-    /// Capability broadcast (Algorithm 1 line 2).
-    Profile {
-        /// Sender's agent id.
-        agent_id: u32,
-        /// Full-model processing speed in batches per second.
-        batches_per_s: f64,
-        /// Estimated solo training time in seconds.
-        solo_time_s: f64,
-    },
-    /// Slow agent asks a fast agent to host `offload` layers.
-    PairRequest {
-        /// Requesting (slow) agent.
-        slow_id: u32,
-        /// Number of layers to offload.
-        offload: u32,
-    },
-    /// Fast agent accepts the pairing.
-    PairAccept {
-        /// Accepting (fast) agent.
-        fast_id: u32,
-    },
-    /// Fast agent declines (already paired).
-    PairReject {
-        /// Declining agent.
-        fast_id: u32,
-    },
-    /// One batch of intermediate activations (slow → fast, §III-B), with
-    /// the batch's labels so the fast side can evaluate its local loss
-    /// (eq. 3 trains on `(z_n, y_n)` pairs).
-    Activations {
-        /// Batch index within the round.
-        batch_idx: u32,
-        /// Flattened activation values.
-        data: Vec<f32>,
-        /// Class labels of the batch (may be empty for inference traffic).
-        labels: Vec<u32>,
-    },
-    /// Trained suffix parameters returned at the end of a round.
-    SuffixParams {
-        /// Flattened parameter values.
-        data: Vec<f32>,
-    },
-    /// A model (or model chunk) exchanged during aggregation.
-    ModelChunk {
-        /// AllReduce step this chunk belongs to.
-        step: u32,
-        /// Chunk values.
-        data: Vec<f32>,
-    },
-    /// End-of-round marker.
-    Done,
-
-    // ── Sweep-farm service (kinds 9+) ───────────────────────────────────
     /// Protocol-version handshake; both sides send it first and adopt the
     /// minimum (see [`FramedStream::handshake`]).
     Version {
@@ -417,15 +335,6 @@ impl Message {
     /// The wire kind tag of this message.
     pub fn kind(&self) -> u16 {
         match self {
-            Message::Hello { .. } => 0,
-            Message::Profile { .. } => 1,
-            Message::PairRequest { .. } => 2,
-            Message::PairAccept { .. } => 3,
-            Message::PairReject { .. } => 4,
-            Message::Activations { .. } => 5,
-            Message::SuffixParams { .. } => 6,
-            Message::ModelChunk { .. } => 7,
-            Message::Done => 8,
             Message::Version { .. } => 9,
             Message::SubmitSweep { .. } => 10,
             Message::SweepQueued { .. } => 11,
@@ -451,15 +360,6 @@ impl Message {
     /// A short human-readable name (for error messages).
     pub fn name(&self) -> &'static str {
         match self {
-            Message::Hello { .. } => "Hello",
-            Message::Profile { .. } => "Profile",
-            Message::PairRequest { .. } => "PairRequest",
-            Message::PairAccept { .. } => "PairAccept",
-            Message::PairReject { .. } => "PairReject",
-            Message::Activations { .. } => "Activations",
-            Message::SuffixParams { .. } => "SuffixParams",
-            Message::ModelChunk { .. } => "ModelChunk",
-            Message::Done => "Done",
             Message::Version { .. } => "Version",
             Message::SubmitSweep { .. } => "SubmitSweep",
             Message::SweepQueued { .. } => "SweepQueued",
@@ -486,33 +386,7 @@ impl Message {
     pub fn encode_body(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16);
         match self {
-            Message::Hello { agent_id } => put_u32(&mut buf, *agent_id),
-            Message::Profile { agent_id, batches_per_s, solo_time_s } => {
-                put_u32(&mut buf, *agent_id);
-                buf.extend_from_slice(&batches_per_s.to_le_bytes());
-                buf.extend_from_slice(&solo_time_s.to_le_bytes());
-            }
-            Message::PairRequest { slow_id, offload } => {
-                put_u32(&mut buf, *slow_id);
-                put_u32(&mut buf, *offload);
-            }
-            Message::PairAccept { fast_id } | Message::PairReject { fast_id } => {
-                put_u32(&mut buf, *fast_id)
-            }
-            Message::Activations { batch_idx, data, labels } => {
-                put_u32(&mut buf, *batch_idx);
-                put_f32s(&mut buf, data);
-                put_u32(&mut buf, labels.len() as u32);
-                for &y in labels {
-                    put_u32(&mut buf, y);
-                }
-            }
-            Message::SuffixParams { data } => put_f32s(&mut buf, data),
-            Message::ModelChunk { step, data } => {
-                put_u32(&mut buf, *step);
-                put_f32s(&mut buf, data);
-            }
-            Message::Done | Message::Shutdown => {}
+            Message::Shutdown => {}
             Message::Version { proto } => buf.extend_from_slice(&proto.to_le_bytes()),
             Message::SubmitSweep { spec_json } => put_str(&mut buf, spec_json),
             Message::SweepQueued { sweep_id, total_jobs } => {
@@ -635,35 +509,6 @@ impl Message {
     pub fn decode_body(kind: u16, body: &[u8]) -> Result<Option<Self>, NetError> {
         let mut r = Reader::new(body);
         let msg = match kind {
-            0 => Message::Hello { agent_id: r.get_u32_le("Hello")? },
-            1 => Message::Profile {
-                agent_id: r.get_u32_le("Profile")?,
-                batches_per_s: r.get_f64_le("Profile")?,
-                solo_time_s: r.get_f64_le("Profile")?,
-            },
-            2 => Message::PairRequest {
-                slow_id: r.get_u32_le("PairRequest")?,
-                offload: r.get_u32_le("PairRequest")?,
-            },
-            3 => Message::PairAccept { fast_id: r.get_u32_le("PairAccept")? },
-            4 => Message::PairReject { fast_id: r.get_u32_le("PairReject")? },
-            5 => {
-                let batch_idx = r.get_u32_le("Activations")?;
-                let data = get_f32s(&mut r)?;
-                let n = r.get_u32_le("Activations labels")? as usize;
-                let raw = r.take(n * 4, "Activations labels")?;
-                let labels = raw
-                    .chunks_exact(4)
-                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect();
-                Message::Activations { batch_idx, data, labels }
-            }
-            6 => Message::SuffixParams { data: get_f32s(&mut r)? },
-            7 => {
-                let step = r.get_u32_le("ModelChunk")?;
-                Message::ModelChunk { step, data: get_f32s(&mut r)? }
-            }
-            8 => Message::Done,
             9 => Message::Version { proto: r.get_u16_le("Version")? },
             10 => Message::SubmitSweep { spec_json: r.get_str("SubmitSweep")? },
             11 => Message::SweepQueued {
@@ -778,9 +623,8 @@ impl Message {
 /// A TCP stream carrying length-prefixed, kind-tagged [`Message`] frames.
 ///
 /// Blocking: `send` and `recv` run on the calling thread. Peers that must
-/// send and receive concurrently (e.g. ring AllReduce steps, or a farm
-/// worker streaming results while its heartbeat thread ticks) either do so
-/// from separate threads or split the stream with
+/// send and receive concurrently (e.g. a farm worker streaming results
+/// while its heartbeat thread ticks) split the stream with
 /// [`FramedStream::try_clone`].
 #[derive(Debug)]
 pub struct FramedStream {
@@ -903,23 +747,6 @@ mod tests {
     fn round_trip(msg: Message) {
         let decoded = Message::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn training_variants_round_trip() {
-        round_trip(Message::Hello { agent_id: 7 });
-        round_trip(Message::Profile { agent_id: 1, batches_per_s: 0.25, solo_time_s: 812.5 });
-        round_trip(Message::PairRequest { slow_id: 3, offload: 37 });
-        round_trip(Message::PairAccept { fast_id: 4 });
-        round_trip(Message::PairReject { fast_id: 4 });
-        round_trip(Message::Activations {
-            batch_idx: 12,
-            data: vec![1.5, -2.0, 0.0],
-            labels: vec![0, 2, 1],
-        });
-        round_trip(Message::SuffixParams { data: vec![0.125; 33] });
-        round_trip(Message::ModelChunk { step: 2, data: vec![] });
-        round_trip(Message::Done);
     }
 
     #[test]
@@ -1050,7 +877,15 @@ mod tests {
 
     #[test]
     fn truncated_frames_error() {
-        let full = Message::Profile { agent_id: 1, batches_per_s: 1.0, solo_time_s: 2.0 }.encode();
+        let full = Message::WorkerMetrics {
+            worker_id: 1,
+            jobs_done: 2,
+            slices_done: 1,
+            slice_p50_ms: 1.0,
+            slice_p90_ms: 2.0,
+            skipped_unknown: 0,
+        }
+        .encode();
         for cut in 2..full.len() {
             assert!(Message::decode(&full[..cut]).is_err());
         }
@@ -1062,14 +897,6 @@ mod tests {
         raw.extend_from_slice(&[0, 0, 0, 0]);
         assert!(matches!(Message::decode(&raw), Err(NetError::BadFrame(_))));
         assert_eq!(Message::decode_body(999, &[0, 0, 0, 0]).unwrap(), None);
-    }
-
-    #[test]
-    fn lying_vector_length_errors() {
-        let mut raw = 6u16.to_le_bytes().to_vec(); // SuffixParams
-        raw.extend_from_slice(&1000u32.to_le_bytes()); // claims 1000 floats
-        raw.extend_from_slice(&1.0f32.to_le_bytes()); // provides one
-        assert!(Message::decode(&raw).is_err());
     }
 
     #[test]
@@ -1086,23 +913,24 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || {
             let mut s = FramedStream::new(TcpStream::connect(addr).unwrap());
-            s.send(&Message::Hello { agent_id: 42 }).unwrap();
-            s.send(&Message::Activations {
-                batch_idx: 0,
-                data: vec![1.0; 1024],
-                labels: vec![7; 16],
+            s.send(&Message::Heartbeat { worker_id: 42 }).unwrap();
+            s.send(&Message::WorkSlice {
+                sweep_id: 0,
+                slice_id: 1,
+                spec_json: "{}".into(),
+                indices: (0..1024).collect(),
             })
             .unwrap();
-            s.expect("Done").unwrap();
+            s.expect("Shutdown").unwrap();
         });
         let (sock, _) = listener.accept().unwrap();
         let mut s = FramedStream::new(sock);
-        assert_eq!(s.recv().unwrap(), Message::Hello { agent_id: 42 });
+        assert_eq!(s.recv().unwrap(), Message::Heartbeat { worker_id: 42 });
         match s.recv().unwrap() {
-            Message::Activations { data, .. } => assert_eq!(data.len(), 1024),
+            Message::WorkSlice { indices, .. } => assert_eq!(indices.len(), 1024),
             other => panic!("unexpected {other:?}"),
         }
-        s.send(&Message::Done).unwrap();
+        s.send(&Message::Shutdown).unwrap();
         client.join().unwrap();
     }
 }

@@ -24,7 +24,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// The protocol revision this build speaks.
 ///
@@ -37,8 +37,11 @@ use std::io::{Read, Write};
 ///   zero — trailing bytes are ignored — and skip the new kinds).
 pub const PROTOCOL_VERSION: u16 = 2;
 
-/// Maximum accepted frame size (a full ResNet-110 model is ~7 MB; leave
-/// generous headroom).
+/// Maximum accepted frame size. The largest real frame is a
+/// `FetchReport`, whose `rows_json` carries every job row of a sweep;
+/// the limit leaves generous headroom for large sweeps. A peer's declared
+/// length is only a ceiling: [`read_frame`] grows the body as bytes
+/// arrive, so a lying prefix costs the reader nothing up front.
 pub(crate) const MAX_FRAME: usize = 256 * 1024 * 1024;
 
 /// Errors produced by the wire protocol.
@@ -113,6 +116,10 @@ pub fn write_frame(w: &mut impl Write, kind: u16, body: &[u8]) -> Result<(), Net
 /// Reads one frame (any kind — the caller decides whether it understands
 /// it).
 ///
+/// The body buffer grows with the bytes actually received, never to the
+/// declared length ahead of them, so a peer that declares a huge frame and
+/// then stalls or hangs up holds the reader to what it really sent.
+///
 /// # Errors
 ///
 /// Returns [`NetError::Io`] on socket failure, [`NetError::FrameTooLarge`]
@@ -130,8 +137,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, NetError> {
     }
     let mut kind_bytes = [0u8; 2];
     r.read_exact(&mut kind_bytes)?;
-    let mut body = vec![0u8; len - 2];
-    r.read_exact(&mut body)?;
+    let want = len - 2;
+    let mut body = Vec::new();
+    r.take(want as u64).read_to_end(&mut body)?;
+    if body.len() < want {
+        return Err(NetError::Io(ErrorKind::UnexpectedEof.into()));
+    }
     Ok(RawFrame { kind: u16::from_le_bytes(kind_bytes), body })
 }
 
@@ -162,5 +173,36 @@ mod tests {
         assert!(matches!(read_frame(&mut raw.as_slice()), Err(NetError::BadFrame(_))));
         let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
         assert!(matches!(read_frame(&mut huge.as_slice()), Err(NetError::FrameTooLarge(_))));
+    }
+
+    /// Serves `data`, then EOF, and records the largest buffer any
+    /// `read()` call was offered.
+    struct RecordingReader {
+        data: Vec<u8>,
+        pos: usize,
+        largest_offer: usize,
+    }
+
+    impl Read for RecordingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            let n = buf.len().min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn declared_length_is_not_allocated_ahead_of_the_bytes() {
+        let mut data = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        data.extend_from_slice(&24u16.to_le_bytes());
+        data.extend_from_slice(&[7u8; 10]);
+        let mut r = RecordingReader { data, pos: 0, largest_offer: 0 };
+        match read_frame(&mut r) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), ErrorKind::UnexpectedEof),
+            other => panic!("expected a short-body error, got {other:?}"),
+        }
+        assert!(r.largest_offer <= 64 * 1024, "offered a {} B buffer", r.largest_offer);
     }
 }

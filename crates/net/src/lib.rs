@@ -1,13 +1,8 @@
-//! Peer-to-peer transport for running the ComDML protocol over real
-//! sockets.
-//!
-//! The simulator in `comdml-core` accounts for time; this crate demonstrates
-//! the *protocol* itself on a real substrate (blocking `std::net` TCP, one
-//! thread per peer):
+//! The sweep farm's wire: framing, the typed message codec and a threaded
+//! TCP service loop (blocking `std::net`, one thread per connection).
 //!
 //! * [`Message`] / [`FramedStream`] — a compact, **versioned**
-//!   length-prefixed binary wire format ([`frame`]) for profile broadcasts,
-//!   pairing handshakes, activation streaming, model exchange and the sweep
+//!   length-prefixed binary wire format ([`frame`]) carrying the sweep
 //!   farm's coordinator/worker/client request–response vocabulary. Peers
 //!   agree on a revision with [`FramedStream::handshake`]
 //!   ([`PROTOCOL_VERSION`]), and frames of unknown kind are skipped with a
@@ -15,48 +10,16 @@
 //! * [`serve`] / [`ServerHandle`] — a threaded accept loop handing each
 //!   connection to a session handler, with a shared stop flag for polite
 //!   drains (the farm coordinator's substrate).
-//! * [`ring_allreduce_tcp`] — the ring AllReduce executed across real
-//!   connections (reduce-scatter + all-gather, `2(K−1)` steps), matching the
-//!   in-memory implementation in `comdml-collective`. Each step's send runs
-//!   on a scoped thread so the ring never deadlocks.
-//! * [`Node`] and [`spawn_ring`] — helpers to stand up an in-process cluster
-//!   of peers on localhost.
-//! * [`pairing_handshake`] — the slow→fast agent request/accept exchange of
-//!   Algorithm 1's pairing step.
 //!
-//! # Example
-//!
-//! ```no_run
-//! use comdml_net::spawn_ring;
-//!
-//! let cluster = spawn_ring(4).unwrap();
-//! // Every node contributes rank-dependent parameters from its own thread…
-//! let handles: Vec<_> = cluster
-//!     .into_iter()
-//!     .map(|mut node| std::thread::spawn(move || {
-//!         let params = vec![node.rank() as f32; 8];
-//!         node.allreduce(params).unwrap()
-//!     }))
-//!     .collect();
-//! for h in handles {
-//!     let avg = h.join().unwrap();
-//!     assert!((avg[0] - 1.5).abs() < 1e-6); // mean of 0,1,2,3
-//! }
-//! ```
+//! The farm itself (coordinator, worker, client) lives in `comdml-exp`.
 //!
 //! Part of the `comdml-rs` workspace — the crate map in the repository
 //! README shows how this crate fits the whole.
 
-mod allreduce;
 mod codec;
 pub mod frame;
-mod node;
-mod protocol;
 mod server;
 
-pub use allreduce::ring_allreduce_tcp;
 pub use codec::{FramedStream, Message, WorkerRow};
 pub use frame::{NetError, PROTOCOL_VERSION};
-pub use node::{pairing_handshake, spawn_ring, Node, PairOutcome};
-pub use protocol::{FastSideSession, ProtocolError, SlowSideSession};
 pub use server::{serve, ServerHandle};

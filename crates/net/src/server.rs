@@ -133,8 +133,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut s = FramedStream::new(TcpStream::connect(addr).unwrap());
                     for i in 0..5 {
-                        s.send(&Message::Hello { agent_id: id * 100 + i }).unwrap();
-                        assert_eq!(s.recv().unwrap(), Message::Hello { agent_id: id * 100 + i });
+                        let msg = Message::Heartbeat { worker_id: u64::from(id * 100 + i) };
+                        s.send(&msg).unwrap();
+                        assert_eq!(s.recv().unwrap(), msg);
                     }
                 })
             })
@@ -158,10 +159,10 @@ mod tests {
         })
         .unwrap();
         let mut s = FramedStream::new(TcpStream::connect(handle.local_addr()).unwrap());
-        s.send(&Message::Done).unwrap();
-        assert_eq!(s.recv().unwrap(), Message::Done);
+        s.send(&Message::NoWork { retry_ms: 5 }).unwrap();
+        assert_eq!(s.recv().unwrap(), Message::NoWork { retry_ms: 5 });
         handle.stop();
-        s.send(&Message::Done).unwrap();
+        s.send(&Message::NoWork { retry_ms: 5 }).unwrap();
         assert_eq!(s.recv().unwrap(), Message::Shutdown);
         handle.shutdown();
     }

@@ -4,7 +4,9 @@
 //! * the version handshake negotiates the minimum revision both ways;
 //! * frames of unknown kind are **skipped with a warning**, not raised as
 //!   errors — a peer from an adjacent (newer) build that interleaves
-//!   future message kinds still interoperates;
+//!   future message kinds still interoperates, and the retired kinds 0–8
+//!   are skipped the same way;
+//! * the farm kinds 9–27 encode to pinned bytes;
 //! * decoding a frame body from an untrusted peer never panics, whatever
 //!   the kind tag and bytes.
 
@@ -97,9 +99,7 @@ fn farm_vocabulary() -> Vec<Message> {
 #[test]
 fn every_kind_round_trips_over_tcp() {
     let (mut server, mut client) = tcp_pair();
-    let mut messages = farm_vocabulary();
-    messages.push(Message::Hello { agent_id: 1 });
-    messages.push(Message::ModelChunk { step: 0, data: vec![0.5; 8] });
+    let messages = farm_vocabulary();
     let expected = messages.clone();
     let sender = std::thread::spawn(move || {
         for m in &messages {
@@ -111,6 +111,28 @@ fn every_kind_round_trips_over_tcp() {
         assert_eq!(&server.recv().unwrap(), want);
     }
     sender.join().unwrap();
+}
+
+/// Order-sensitive FNV-1a digest over every farm message's `encode()`
+/// bytes, each preceded by its length so message boundaries count.
+fn farm_wire_digest() -> u64 {
+    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    for msg in farm_vocabulary() {
+        let bytes = msg.encode();
+        for b in (bytes.len() as u32).to_le_bytes().into_iter().chain(bytes) {
+            d = (d ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    d
+}
+
+/// Kinds 9–27 are the farm's wire: their numbers and bytes never change.
+/// The pin was recorded while the codec still carried kinds 0–8.
+#[test]
+fn every_farm_kind_encodes_to_pinned_bytes() {
+    let kinds: Vec<u16> = farm_vocabulary().iter().map(Message::kind).collect();
+    assert_eq!(kinds, (9..=27).collect::<Vec<u16>>());
+    assert_eq!(farm_wire_digest(), 0x78b6_6dc8_8022_21cf);
 }
 
 #[test]
@@ -145,6 +167,26 @@ fn unknown_kinds_are_skipped_not_fatal() {
         framed.send(&Message::Heartbeat { worker_id: 3 }).unwrap();
     });
     assert_eq!(server.recv().unwrap(), Message::Heartbeat { worker_id: 3 });
+    assert_eq!(server.skipped_unknown(), 1);
+    t.join().unwrap();
+}
+
+/// Kinds 0–8 once carried a training demo. They are reserved now and
+/// decode as unknown, so an old peer that still sends one — even a large
+/// one — is skipped like any future kind.
+#[test]
+fn retired_training_kinds_are_skipped() {
+    for k in 0..=8u16 {
+        assert_eq!(Message::decode_body(k, &[0u8; 64]).unwrap(), None, "kind {k}");
+    }
+    let (server_sock, client_sock) = raw_tcp_pair();
+    let mut server = FramedStream::new(server_sock);
+    let t = std::thread::spawn(move || {
+        let mut raw = client_sock;
+        write_frame(&mut raw, 5, &[0x3f; 4096]).unwrap();
+        FramedStream::new(raw).send(&Message::Heartbeat { worker_id: 9 }).unwrap();
+    });
+    assert_eq!(server.recv().unwrap(), Message::Heartbeat { worker_id: 9 });
     assert_eq!(server.skipped_unknown(), 1);
     t.join().unwrap();
 }

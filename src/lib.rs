@@ -40,7 +40,8 @@
 //!   logging, the process-wide metrics registry, phase spans and the
 //!   `COMDML_TRACE` JSONL trace sink (zero-overhead when disabled).
 //! * [`privacy`] — differential privacy, patch shuffling, distance correlation.
-//! * [`net`] — threaded `std::net` peer-to-peer transport for the protocol.
+//! * [`net`] — the sweep farm's wire: versioned frames, the message codec
+//!   and a threaded `std::net` service loop.
 //!
 //! Rounds are simulated by scheduling typed events (batch produced, transfer
 //! complete, suffix return, agent done, aggregate start/done,
