@@ -108,6 +108,8 @@ impl<'a> TrainingTimeEstimator<'a> {
         fast_solo_s: f64,
         link_mbps: f64,
     ) -> SplitDecision {
+        #[cfg(test)]
+        EVALUATIONS.with(|n| n.set(n.get() + 1));
         let n_i = slow.num_batches() as f64;
         let p_i = self.batches_per_s(slow);
         let p_j = self.batches_per_s(fast);
@@ -134,6 +136,13 @@ impl<'a> TrainingTimeEstimator<'a> {
         }
         best
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`TrainingTimeEstimator::estimate`] calls made on this thread, so
+    /// unit tests can pin the scheduler's work independently of wall time.
+    pub(crate) static EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Fowler–Noll–Vo hasher for the memo keys below: the keys are short

@@ -1,4 +1,5 @@
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use comdml_simnet::{AgentId, AgentState, ByzantineConfig, World};
 
@@ -59,19 +60,40 @@ pub enum PairingOrder {
 ///
 /// # Scaling
 ///
-/// Paired-membership checks use O(1) indexed flags, and candidate search is
-/// driven by sorted candidate lists with two exact prunes:
+/// Paired-membership checks use O(1) indexed flags. On a full mesh the
+/// candidate search is organised by two exact rules:
 ///
-/// * a candidate whose own task `τ̂ⱼ` already exceeds the best estimate so
-///   far can never win (the fast arm of line 18 is bounded below by `τ̂ⱼ`);
-/// * on a full mesh, within a `(CPU, link, batch size)` profile class the
-///   unpaired candidate with the smallest `τ̂ⱼ` dominates every other
-///   member, so at most one estimator call per class is needed.
+/// * **Classes.** Candidates sharing `(CPU, link, batch size)` — and the
+///   side of any active regional cut — form a class. Within a class the
+///   helper speed `p_j` and the link `c_ij` are constant and the estimate
+///   rises with `τ̂ⱼ`, so only the least-busy unpaired member can win:
+///   one estimate per class.
+/// * **Bins.** Classes are grouped into geometric bins of
+///   `(batch size, ⌊2·log₂ CPU⌋, ⌊2·log₂ link⌋)`. Each bin keeps its
+///   fastest *advertised* CPU (liars stay liars) and its fastest link
+///   column. For a slow agent `i`, a bin's estimates are bounded below by
+///   the estimator evaluated at a virtual helper with that CPU, the link
+///   `min(link_i, bin max)` scaled exactly as [`World::link_mbps`] scales
+///   it, and the bin's least-busy unpaired `τ̂ⱼ`. Bins are searched in
+///   ascending bound order — a bin is first keyed by that `τ̂ⱼ` (the fast
+///   arm's floor) and only bounded when the key comes up — and the search
+///   stops at the first bound **strictly** greater than the best estimate
+///   so far, so a candidate tying it on `(τ̂, τ̂ⱼ, id)` is still found. A
+///   one-class bin needs no bound: its class is offered directly, behind
+///   the per-class `τ̂ⱼ` prune.
 ///
-/// Together these take one pairing round from the seed's O(n³)-flavoured
-/// scan to roughly O(n·(C + log n)) for C profile classes — the 10,000-agent
-/// scalability benchmark (`cargo run --release --bin scalability_10k`) runs
-/// entire 100-round simulations on this path.
+/// The bound is exact, not heuristic: every term of line 18 is monotone in
+/// `τ̂ⱼ`, `p_j` and `c_ij`, and IEEE round-to-nearest `+ × ÷` and `max` are
+/// monotone too, so the bound — evaluated by the same code as every real
+/// candidate's estimate — is never above any member's. Pairings are
+/// therefore bit-identical to the literal scan, which
+/// `tests/pairing_oracle.rs` checks differentially.
+///
+/// With discrete profile grids every bin is one class and the search is
+/// one estimate per class. With continuous `cpu_dist`/`link_dist` draws
+/// every agent is its own class, and the bins keep the search far from
+/// all-pairs: a unit test pins a 1,000-agent lognormal mesh below a tenth
+/// of the n²/2 estimates.
 ///
 /// # Example
 ///
@@ -136,6 +158,7 @@ impl<'w> Broadcast<'w> {
 }
 
 /// Sorted per-class candidate list with a lazily advancing cursor.
+#[derive(Default)]
 struct ClassList {
     /// `(solo_time, id)` ascending by solo time, ties by id.
     members: Vec<(f64, AgentId)>,
@@ -143,6 +166,12 @@ struct ClassList {
 }
 
 impl ClassList {
+    fn sort(&mut self) {
+        self.members.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+        });
+    }
+
     /// First unpaired member other than `skip`, without consuming unpaired
     /// entries (the cursor only advances past permanently paired agents).
     fn peek(&mut self, paired: &[bool], skip: AgentId) -> Option<(f64, AgentId)> {
@@ -158,6 +187,239 @@ impl ClassList {
             i += 1;
         }
         None
+    }
+}
+
+/// Geometric bins per octave of CPU and of link speed.
+const BINS_PER_OCTAVE: f64 = 2.0;
+
+fn octave_bin(x: f64) -> i64 {
+    // A dead (0 Mbps) link maps to `i64::MIN`: its own bin.
+    (x.log2() * BINS_PER_OCTAVE).floor() as i64
+}
+
+/// Profile classes sharing a batch size, a CPU bin, a link bin and a side
+/// of any active cut, with what a lower bound on their estimates needs.
+struct Bin {
+    /// The bin's slice of [`MeshIndex::classes`].
+    classes: std::ops::Range<usize>,
+    /// Every member in `(solo, id)` order; left empty for a one-class bin,
+    /// whose class list serves.
+    members: ClassList,
+    /// A member with the bin's fastest advertised CPU: the virtual
+    /// helper's speed `p_j`.
+    helper: AgentState,
+    /// The bin's fastest link column.
+    max_link: f64,
+    /// Whether the bin lies in the region an active cut isolates.
+    isolated: bool,
+}
+
+/// The full-mesh candidate index: exact profile classes grouped into
+/// bins that are visited in ascending order of a lower bound on their
+/// members' estimates.
+///
+/// A one-class bin is a class of a discrete profile grid: every slow agent
+/// of one profile asks it the same question, so its estimates go through
+/// the [`EstimateMemo`]. A multi-class bin holds continuous draws, where a
+/// question is rarely asked twice and memoizing would only fill the memo
+/// with up to n²/2 unique keys, so its members are estimated directly.
+struct MeshIndex {
+    classes: Vec<ClassList>,
+    bins: Vec<Bin>,
+    cut: Option<(usize, usize)>,
+    /// `(bound bits, bin, tightened)` of the multi-class bins still worth
+    /// bounding, reused across slow agents.
+    visit: BinaryHeap<Reverse<(u64, usize, bool)>>,
+}
+
+impl MeshIndex {
+    fn new(bcast: &Broadcast<'_>, order: &[(AgentId, f64)]) -> Self {
+        let cut = bcast.world.partition();
+        let isolated = |id: AgentId| cut.is_some_and(|(groups, region)| id.0 % groups == region);
+        // Exact classes: batch_size feeds batches_per_s and the side of a
+        // cut decides reachability, so within a class the helper speed p_j
+        // and the link are constant and the smallest-τ̂ⱼ member dominates.
+        let mut index: HashMap<(u64, u64, usize, bool), usize, FnvBuildHasher> = HashMap::default();
+        let mut classes: Vec<ClassList> = Vec::new();
+        let mut reps: Vec<AgentId> = Vec::new();
+        for &(id, solo) in order {
+            let a = bcast.agent(id);
+            let key = (
+                a.profile.cpus.to_bits(),
+                a.profile.link_mbps.to_bits(),
+                a.batch_size,
+                isolated(id),
+            );
+            let slot = *index.entry(key).or_insert_with(|| {
+                classes.push(ClassList::default());
+                reps.push(id);
+                classes.len() - 1
+            });
+            classes[slot].members.push((solo, id));
+        }
+        let bin_key = |id: AgentId| {
+            let a = bcast.agent(id);
+            (
+                a.batch_size,
+                octave_bin(a.profile.cpus),
+                octave_bin(a.profile.link_mbps),
+                isolated(id),
+            )
+        };
+        let keys: Vec<_> = reps.iter().map(|&id| bin_key(id)).collect();
+        let mut by_bin: Vec<usize> = (0..classes.len()).collect();
+        by_bin.sort_by_key(|&c| keys[c]);
+
+        let mut sorted: Vec<ClassList> = Vec::with_capacity(classes.len());
+        let mut bins: Vec<Bin> = Vec::new();
+        for group in by_bin.chunk_by(|&a, &b| keys[a] == keys[b]) {
+            let start = sorted.len();
+            let mut fastest = reps[group[0]];
+            let mut max_link = 0.0f64;
+            let mut members = ClassList::default();
+            for &c in group {
+                let a = bcast.agent(reps[c]);
+                if a.profile.cpus > bcast.agent(fastest).profile.cpus {
+                    fastest = reps[c];
+                }
+                max_link = max_link.max(a.profile.link_mbps);
+                let mut class = std::mem::take(&mut classes[c]);
+                class.sort();
+                if group.len() > 1 {
+                    members.members.extend_from_slice(&class.members);
+                }
+                sorted.push(class);
+            }
+            members.sort();
+            bins.push(Bin {
+                classes: start..sorted.len(),
+                members,
+                helper: bcast.agent(fastest).clone(),
+                max_link,
+                isolated: isolated(fastest),
+            });
+        }
+        Self { classes: sorted, bins, cut, visit: BinaryHeap::new() }
+    }
+
+    /// Algorithm 1's candidate search (lines 4-12) for slow agent `i`: the
+    /// unpaired partner and split minimizing its estimate, ties broken by
+    /// `(τ̂ⱼ, id)`, or `None` when no offload beats `solo_i`.
+    fn best_partner(
+        &mut self,
+        bcast: &Broadcast<'_>,
+        estimator: &TrainingTimeEstimator<'_>,
+        memo: &mut EstimateMemo,
+        paired: &[bool],
+        (i, solo_i): (AgentId, f64),
+    ) -> Option<(AgentId, SplitDecision)> {
+        let world = bcast.world;
+        let side = self.cut.is_some_and(|(groups, region)| i.0 % groups == region);
+        let mut best = Best::new(bcast, estimator, paired, (i, solo_i));
+        self.visit.clear();
+        for (b, bin) in self.bins.iter_mut().enumerate() {
+            if bin.isolated != side {
+                continue; // an active cut severs every link across it
+            }
+            if bin.classes.len() == 1 {
+                // One class: its own τ̂ⱼ prune is as tight as any bound.
+                best.offer(&mut self.classes[bin.classes.start], Some(memo));
+            } else if let Some((solo_j, _)) = bin.members.peek(paired, i) {
+                // The fast arm of line 18 exceeds the least-busy τ̂ⱼ.
+                if solo_j < solo_i {
+                    self.visit.push(Reverse((solo_j.to_bits(), b, false)));
+                }
+            }
+        }
+
+        let link_i = world.link_classes_mbps()[i.0];
+        let scale = world.link_scale();
+        // Bounds are non-negative, so their bit patterns order like them.
+        while let Some(Reverse((bits, b, tight))) = self.visit.pop() {
+            let bound = f64::from_bits(bits);
+            // Strictly greater: a bin bounded at exactly the best time may
+            // still hold a tie that wins on (τ̂ⱼ, id).
+            if bound > best.time {
+                break;
+            }
+            let bin = &self.bins[b];
+            if !tight {
+                // Tighten: a virtual helper at the bin's fastest CPU and
+                // link and its least-busy τ̂ⱼ, linked as `World::link_mbps`
+                // links.
+                let base = link_i.min(bin.max_link);
+                let link = if scale == 1.0 { base } else { base * scale };
+                let bound = estimator.estimate(best.slow, &bin.helper, bound, link).est_time_s;
+                if bound < solo_i {
+                    self.visit.push(Reverse((bound.to_bits(), b, true)));
+                }
+                continue;
+            }
+            for class in &mut self.classes[bin.classes.clone()] {
+                best.offer(class, None);
+            }
+        }
+        best.choice
+    }
+}
+
+/// The running argmin of one slow agent's candidate search.
+struct Best<'a> {
+    bcast: &'a Broadcast<'a>,
+    estimator: &'a TrainingTimeEstimator<'a>,
+    paired: &'a [bool],
+    i: AgentId,
+    slow: &'a AgentState,
+    solo_i: f64,
+    /// The best estimate so far (`solo_i` until an offload wins).
+    time: f64,
+    /// `(τ̂, τ̂ⱼ, id)` of the choice: ties in estimated time are broken by
+    /// `(τ̂ⱼ, id)`, matching the ascending-scan order of the sparse path.
+    key: (f64, f64, usize),
+    choice: Option<(AgentId, SplitDecision)>,
+}
+
+impl<'a> Best<'a> {
+    fn new(
+        bcast: &'a Broadcast<'a>,
+        estimator: &'a TrainingTimeEstimator<'a>,
+        paired: &'a [bool],
+        (i, solo_i): (AgentId, f64),
+    ) -> Self {
+        let key = (f64::INFINITY, f64::INFINITY, usize::MAX);
+        let slow = bcast.agent(i);
+        Self { bcast, estimator, paired, i, slow, solo_i, time: solo_i, key, choice: None }
+    }
+
+    /// Offers a class's least-busy unpaired member: within a class it
+    /// dominates every other member. `memo` serves the estimate when the
+    /// same question is likely to come again (see [`MeshIndex`]).
+    fn offer(&mut self, class: &mut ClassList, memo: Option<&mut EstimateMemo>) {
+        let Some((solo_j, j)) = class.peek(self.paired, self.i) else { return };
+        // Exact prune: the fast arm strictly exceeds τ̂ⱼ, so a candidate
+        // this busy can never beat the current best.
+        if solo_j >= self.time {
+            return;
+        }
+        let link = self.bcast.world.link_mbps(self.i, j);
+        if link <= 0.0 {
+            return;
+        }
+        let fast = self.bcast.agent(j);
+        let d = match memo {
+            Some(memo) => memo.estimate(self.estimator, self.slow, fast, solo_j, link),
+            None => self.estimator.estimate(self.slow, fast, solo_j, link),
+        };
+        if d.offload == 0 || d.est_time_s >= self.solo_i {
+            return;
+        }
+        let key = (d.est_time_s, solo_j, j.0);
+        if key < self.key {
+            self.key = key;
+            self.time = self.time.min(d.est_time_s);
+            self.choice = Some((j, d));
+        }
     }
 }
 
@@ -257,37 +519,14 @@ impl PairingScheduler {
         for &(id, _) in order {
             paired[id.0] = false; // participants start unpaired
         }
-        let full_mesh = world.adjacency().is_full_mesh();
-
-        // Full-mesh fast path: group candidates by (CPU, link) profile
-        // class; within a class only the smallest-τ̂ⱼ unpaired member can
-        // be optimal, so each class is one peek + at most one estimate.
-        let mut classes: Vec<ClassList> = Vec::new();
-        if full_mesh {
-            let mut index: HashMap<(u64, u64, usize), usize> = HashMap::new();
-            for &(id, solo) in order {
-                let agent = bcast.agent(id);
-                let prof = agent.profile;
-                // batch_size feeds batches_per_s, so it is part of the class
-                // identity: within a class the helper speed p_j is constant
-                // and the smallest-τ̂ⱼ member dominates.
-                let key = (prof.cpus.to_bits(), prof.link_mbps.to_bits(), agent.batch_size);
-                let slot = *index.entry(key).or_insert_with(|| {
-                    classes.push(ClassList { members: Vec::new(), cursor: 0 });
-                    classes.len() - 1
-                });
-                classes[slot].members.push((solo, id));
-            }
-            for c in &mut classes {
-                c.members.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-                });
-            }
-        }
+        let mut mesh = world.adjacency().is_full_mesh().then(|| MeshIndex::new(bcast, order));
         // Sparse fallback: solo times by id for neighbour scans.
-        let mut solo_of: Vec<f64> = vec![f64::INFINITY; k];
-        for &(id, solo) in order {
-            solo_of[id.0] = solo;
+        let mut solo_of: Vec<f64> = Vec::new();
+        if mesh.is_none() {
+            solo_of.resize(k, f64::INFINITY);
+            for &(id, solo) in order {
+                solo_of[id.0] = solo;
+            }
         }
 
         let mut out = Vec::with_capacity(order.len());
@@ -295,39 +534,14 @@ impl PairingScheduler {
             if paired[i.0] {
                 continue;
             }
-            let slow_state = bcast.agent(i);
-            let mut best: Option<(AgentId, SplitDecision)> = None;
-            let mut best_time = solo_i;
-
-            if full_mesh {
-                // Ties in estimated time are broken by (τ̂ⱼ, id), matching
-                // the ascending-scan order of the sparse path below.
-                let mut best_key = (f64::INFINITY, f64::INFINITY, usize::MAX);
-                for class in &mut classes {
-                    let Some((solo_j, j)) = class.peek(&paired, i) else { continue };
-                    // Exact prune: the fast arm strictly exceeds τ̂ⱼ, so a
-                    // candidate this busy can never beat the current best.
-                    if solo_j >= best_time {
-                        continue;
-                    }
-                    let link = world.link_mbps(i, j);
-                    if link <= 0.0 {
-                        continue;
-                    }
-                    let d = memo.estimate(estimator, slow_state, bcast.agent(j), solo_j, link);
-                    if d.offload == 0 || d.est_time_s >= solo_i {
-                        continue;
-                    }
-                    let key = (d.est_time_s, solo_j, j.0);
-                    if key < best_key {
-                        best_key = key;
-                        best_time = best_time.min(d.est_time_s);
-                        best = Some((j, d));
-                    }
-                }
+            let best = if let Some(mesh) = mesh.as_mut() {
+                mesh.best_partner(bcast, estimator, memo, &paired, (i, solo_i))
             } else {
-                // Neighbour scan in ascending τ̂ⱼ with the same prune; once
-                // τ̂ⱼ crosses the best estimate the rest cannot win.
+                // Neighbour scan in ascending τ̂ⱼ; once τ̂ⱼ crosses the best
+                // estimate the rest cannot win (the fast arm exceeds τ̂ⱼ).
+                let slow_state = bcast.agent(i);
+                let mut best: Option<(AgentId, SplitDecision)> = None;
+                let mut best_time = solo_i;
                 let mut neighbors: Vec<(f64, AgentId)> = world
                     .adjacency()
                     .neighbors_iter(i.0)
@@ -355,7 +569,8 @@ impl PairingScheduler {
                         best = Some((j, d));
                     }
                 }
-            }
+                best
+            };
 
             match best {
                 // Lines 13-14: pair with j* when offloading wins.
@@ -549,6 +764,32 @@ mod tests {
         let ids: Vec<AgentId> = (0..k).map(AgentId).collect();
         let sched = PairingScheduler::new();
         assert_eq!(sched.pair(&implicit, &ids, &est), sched.pair(&explicit, &ids, &est));
+    }
+
+    #[test]
+    fn continuous_full_mesh_pairing_is_not_all_pairs() {
+        // Lognormal CPU and uniform links make every agent its own profile
+        // class; the bins' lower bound must still keep one pairing call far
+        // below the n²/2 estimates of an all-pairs scan.
+        use comdml_simnet::DistributionConfig;
+        let (spec, profile, cal) = fixtures();
+        let est = TrainingTimeEstimator::new(&spec, &profile, &cal);
+        let n = 1_000;
+        let world = WorldConfig::heterogeneous(n, 1)
+            .total_samples(5_000 * n)
+            .cpu_dist(DistributionConfig::LogNormal { mu: 0.3, sigma: 0.6 })
+            .link_dist(DistributionConfig::Uniform { min: 5.0, max: 100.0 })
+            .build();
+        let ids: Vec<AgentId> = world.agents().iter().map(|a| a.id).collect();
+        let before = crate::estimator::EVALUATIONS.with(|c| c.get());
+        let pairings = PairingScheduler::new().pair(&world, &ids, &est);
+        let evaluations = crate::estimator::EVALUATIONS.with(|c| c.get()) - before;
+        let all_pairs = (n * n / 2) as u64;
+        assert!(pairings.iter().any(Pairing::is_offloading));
+        assert!(
+            evaluations <= all_pairs / 10,
+            "{evaluations} estimates for {n} agents (all-pairs: {all_pairs})"
+        );
     }
 
     #[test]

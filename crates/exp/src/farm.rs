@@ -50,6 +50,43 @@ use crate::{JobResult, JobSource, JobSpec, SweepReport, SweepRunner, SweepSpec};
 /// The farm's default coordinator endpoint.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7700";
 
+/// Most jobs one submitted sweep may expand to (65,536; `@table2` at 64
+/// seeds is 1,920). The coordinator holds a queue entry and a result slot
+/// per job, so a submission from an untrusted peer is bounded before
+/// anything is allocated for it. Local `exp_sweep` runs have no such
+/// limit.
+const MAX_SWEEP_JOBS: usize = 1 << 16;
+
+/// Most agent-rounds, `max(agents, max_agents) × rounds`, one job of a
+/// submitted sweep may ask of a worker (about 2.7 × 10⁸: a million-agent
+/// fleet with 2M slots runs 100 rounds within it).
+const MAX_JOB_AGENT_ROUNDS: u64 = 1 << 28;
+
+/// Refuses a sweep larger than the farm's submission budget, naming the
+/// limit it exceeds.
+fn check_budget(spec: &SweepSpec) -> Result<(), String> {
+    let jobs = spec.num_jobs();
+    if jobs > MAX_SWEEP_JOBS {
+        return Err(format!(
+            "sweep {:?} expands to {jobs} jobs; a farm accepts at most MAX_SWEEP_JOBS = \
+             {MAX_SWEEP_JOBS}",
+            spec.name
+        ));
+    }
+    for s in &spec.scenarios {
+        let agents = s.agents.max(s.max_agents.unwrap_or(0)) as u64;
+        let agent_rounds = agents.saturating_mul(s.rounds as u64);
+        if agent_rounds > MAX_JOB_AGENT_ROUNDS {
+            return Err(format!(
+                "scenario {:?} asks {agents} agents × {} rounds per job; a farm accepts at \
+                 most MAX_JOB_AGENT_ROUNDS = {MAX_JOB_AGENT_ROUNDS} agent-rounds",
+                s.name, s.rounds
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
@@ -202,6 +239,7 @@ impl FarmState {
     fn submit(&mut self, spec_json: &str) -> Result<(u64, u64), String> {
         let spec = SweepSpec::parse(spec_json)?;
         spec.validate()?;
+        check_budget(&spec)?;
         let total = spec.num_jobs();
         let slice = self.cfg.slice_size.max(1);
         let mut queue = VecDeque::with_capacity(total.div_ceil(slice));
@@ -1108,6 +1146,55 @@ mod tests {
         assert_eq!(sweep.queue.len(), 2); // 3 + 1
         assert_eq!(sweep.queue[0], vec![0, 1, 2]);
         assert_eq!(sweep.queue[1], vec![3]);
+    }
+
+    #[test]
+    fn every_preset_and_ci_spec_fits_the_submission_budget() {
+        for (name, _) in crate::presets::CATALOG {
+            let spec = crate::presets::by_name(name, 64).unwrap();
+            check_budget(&spec).unwrap_or_else(|e| panic!("@{name}: {e}"));
+        }
+        for text in [
+            include_str!("../../../ci/specs/smoke.json"),
+            include_str!("../../../ci/specs/hostile_smoke.json"),
+            include_str!("../../../ci/specs/convergence_smoke.json"),
+        ] {
+            check_budget(&SweepSpec::parse(text).unwrap()).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any spec beyond the budget is refused by name, without a panic
+        /// and without queueing anything; within it, it is queued.
+        #[test]
+        fn submissions_beyond_the_budget_are_refused(
+            seeds_log2 in 0u32..64,
+            agents_log2 in 0u32..40,
+            rounds_log2 in 0u32..20,
+        ) {
+            let spec = SweepSpec::new("budget")
+                .seeds(1, 1usize << seeds_log2)
+                .method(Method::FedAvg)
+                .scenario(
+                    ScenarioSpec::new("s").agents(1 << agents_log2).rounds(1 << rounds_log2),
+                );
+            let mut state = FarmState::new(FarmConfig { quiet: true, ..FarmConfig::default() });
+            let over_jobs = spec.num_jobs() > MAX_SWEEP_JOBS;
+            let over_size = (1u64 << agents_log2) << rounds_log2 > MAX_JOB_AGENT_ROUNDS;
+            match state.submit(&spec.render()) {
+                Ok((_, total)) => {
+                    proptest::prop_assert!(!over_jobs && !over_size);
+                    proptest::prop_assert_eq!(total as usize, spec.num_jobs());
+                }
+                Err(e) => {
+                    proptest::prop_assert!(over_jobs || over_size, "{}", e);
+                    proptest::prop_assert!(e.contains("MAX_"), "{}", e);
+                    proptest::prop_assert!(state.sweeps.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

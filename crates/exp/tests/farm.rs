@@ -251,3 +251,31 @@ fn overflowing_job_matrix_is_refused_and_coordinator_keeps_serving() {
     assert_eq!(farm::status(&addr, id).unwrap().total, 6);
     coordinator.shutdown();
 }
+
+/// Sweeps within `usize` but beyond the submission budget — too many jobs,
+/// or jobs too large — are refused with the limit named, without a panic
+/// under the state lock: a following valid submission is served.
+#[test]
+fn oversized_submissions_are_refused_and_coordinator_keeps_serving() {
+    let coordinator = farm::Coordinator::bind("127.0.0.1:0", test_config(4)).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let one_cell = |seeds: usize| {
+        SweepSpec::new("oversized")
+            .seeds(1, seeds)
+            .method(Method::FedAvg)
+            .scenario(ScenarioSpec::new("mini").agents(5).rounds(3))
+    };
+    for seeds in [usize::MAX, 1 << 40] {
+        let err = farm::submit(&addr, &one_cell(seeds)).unwrap_err();
+        assert!(err.contains("MAX_SWEEP_JOBS"), "{err}");
+    }
+    let giant = SweepSpec::new("giant")
+        .method(Method::FedAvg)
+        .scenario(ScenarioSpec::new("giant").agents(1 << 30).rounds(1 << 20));
+    let err = farm::submit(&addr, &giant).unwrap_err();
+    assert!(err.contains("MAX_JOB_AGENT_ROUNDS"), "{err}");
+    let (id, total) = farm::submit(&addr, &farm_spec("after", 1)).unwrap();
+    assert_eq!(total, 6);
+    assert_eq!(farm::status(&addr, id).unwrap().total, 6);
+    coordinator.shutdown();
+}

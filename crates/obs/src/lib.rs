@@ -173,12 +173,16 @@ mod tests {
         set_trace_path(&path).unwrap();
         assert!(metrics_enabled() && trace_enabled());
         counter_add("pipeline.counter", 2);
+        let lines_on_disk = || std::fs::read_to_string(&path).unwrap().lines().count();
         {
             let t = phase("pipeline.phase");
             assert!(t.elapsed_ms().is_some());
         }
+        assert_eq!(lines_on_disk(), 1, "the outermost span's end flushes");
         trace_event("custom", vec![("k", Value::Num(1.5))]);
+        assert_eq!(lines_on_disk(), 1, "other lines stay buffered");
         crate::warn!("pipeline", "warned {}", 7);
+        assert_eq!(lines_on_disk(), 3, "a warning flushes");
         disable_trace();
         set_metrics_enabled(false);
 

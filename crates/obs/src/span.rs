@@ -7,7 +7,14 @@
 //! runs**: the whole call is one relaxed atomic load, which is what lets
 //! the simulation keep spans on its round path for free.
 
+use std::cell::Cell;
 use std::time::Instant;
+
+thread_local! {
+    /// Phase timers open on this thread: the trace sink flushes when the
+    /// outermost one closes.
+    static OPEN: Cell<usize> = const { Cell::new(0) };
+}
 
 /// An in-flight phase measurement; drop it to record.
 #[derive(Debug)]
@@ -30,7 +37,11 @@ impl Drop for PhaseTimer {
             if crate::metrics_enabled() {
                 crate::metrics().observe(&format!("phase.{name}"), ms);
             }
-            crate::trace::span_event(name, ms);
+            let open = OPEN.with(|n| {
+                n.set(n.get().saturating_sub(1)); // a timer may drop on another thread
+                n.get()
+            });
+            crate::trace::span_event(name, ms, open == 0);
         }
     }
 }
@@ -39,6 +50,7 @@ impl Drop for PhaseTimer {
 /// tracing are enabled.
 pub fn phase(name: &'static str) -> PhaseTimer {
     if crate::metrics_enabled() || crate::trace_enabled() {
+        OPEN.with(|n| n.set(n.get() + 1));
         PhaseTimer { inner: Some((name, Instant::now())) }
     } else {
         PhaseTimer { inner: None }

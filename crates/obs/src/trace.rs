@@ -18,6 +18,12 @@
 //! Unknown kinds are legal — `trace_check` validates the envelope
 //! (`t` + `seq`) for every line and field shapes for the kinds it knows.
 //!
+//! Lines are buffered, not flushed one by one. They reach the file when a
+//! unit of work ends — a `job` or `round` event, or the outermost span
+//! open on a thread — on a warning or error log line, and when
+//! [`disable_trace`] closes the sink. A process killed mid-unit loses at
+//! most that unit's lines.
+//!
 //! Tracing observes the run and never perturbs it: the sink is fed only
 //! already-computed values, touches no RNG stream, and simulation digests
 //! stay byte-identical with it on (pinned by `crates/exp/tests/obs.rs`
@@ -96,8 +102,15 @@ pub fn flush_trace() {
 }
 
 /// Appends one `{"t":kind,"seq":N,...fields}` line — no-op when tracing
-/// is inactive. Field order is preserved as given.
+/// is inactive. Field order is preserved as given. A `job` or `round`
+/// event ends a unit of work and flushes the buffered lines.
 pub fn trace_event(kind: &str, fields: Vec<(&str, Value)>) {
+    emit(kind, fields, matches!(kind, "job" | "round"));
+}
+
+/// Writes one line, flushing the sink after it when `flush` is set (a
+/// flush per line would be one `write` syscall per span and log line).
+fn emit(kind: &str, fields: Vec<(&str, Value)>, flush: bool) {
     if !trace_enabled() {
         return;
     }
@@ -113,21 +126,28 @@ pub fn trace_event(kind: &str, fields: Vec<(&str, Value)>) {
     let line = Value::Obj(obj).render_compact();
     if let Some(w) = &mut *sink {
         let _ = writeln!(w, "{line}");
-        let _ = w.flush(); // one line per event; crash-safe and cheap at trace rates
+        if flush {
+            let _ = w.flush();
+        }
     }
 }
 
-pub(crate) fn span_event(name: &str, ms: f64) {
-    trace_event("span", vec![("name", Value::Str(name.to_string())), ("ms", Value::Num(ms))]);
+/// A closed span; `outermost` (no other span open on this thread) ends a
+/// unit of work and flushes.
+pub(crate) fn span_event(name: &str, ms: f64, outermost: bool) {
+    emit("span", vec![("name", Value::Str(name.to_string())), ("ms", Value::Num(ms))], outermost);
 }
 
+/// A log line; warnings and errors flush, so the lines explaining a
+/// failing run reach the file even if the process dies next.
 pub(crate) fn log_event(target: &str, level: Level, msg: &str) {
-    trace_event(
+    emit(
         "log",
         vec![
             ("level", Value::Str(level.name().to_string())),
             ("target", Value::Str(target.to_string())),
             ("msg", Value::Str(msg.to_string())),
         ],
+        level <= Level::Warn,
     );
 }

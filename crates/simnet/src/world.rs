@@ -364,6 +364,12 @@ impl World {
         self.link_scale = scale;
     }
 
+    /// The diurnal bandwidth scale [`World::link_mbps`] applies (`1.0` when
+    /// unset).
+    pub fn link_scale(&self) -> f64 {
+        self.link_scale
+    }
+
     /// Cuts the fleet into `groups` id-striped regions and isolates one of
     /// them: links crossing the `isolated` region's boundary read 0 Mbps.
     ///
@@ -373,6 +379,12 @@ impl World {
     pub fn set_partition(&mut self, groups: usize, isolated: usize) {
         assert!(groups > 0 && isolated < groups, "invalid partition {isolated}/{groups}");
         self.partition = Some((groups, isolated));
+    }
+
+    /// The active cut as `(groups, isolated_region)`, or `None` while
+    /// healed.
+    pub fn partition(&self) -> Option<(usize, usize)> {
+        self.partition
     }
 
     /// Heals any active partition.
